@@ -24,10 +24,12 @@
 //! into per-lane time words, which flush straight into each lane's
 //! [`PackedBits`].
 //!
-//! Full tiles step through `step_tile` — the explicit
-//! wide-ops kernel under `--features wide-lanes`, the portable scalar
-//! tile loop otherwise. The final partial tile (K mod [`TILE`] lanes)
-//! always steps scalar, so padding lanes never execute.
+//! Full tiles step through one chunk kernel picked at run time from
+//! the host CPU: the explicit wide-ops tile body compiled for AVX-512F
+//! or AVX2 on x86-64 hosts that have them, the portable scalar tile
+//! loop otherwise (see [`kernel_name`]; `TONOS_FORCE_KERNEL` pins the
+//! choice). The final partial tile (K mod [`TILE`] lanes) always steps
+//! scalar, so padding lanes never execute.
 //!
 //! ## Scalar path as the oracle
 //!
@@ -35,7 +37,7 @@
 //! lane's bitstream, loop-filter state, and noise-stream positions are
 //! **bit-identical** to a scalar [`SigmaDelta2`] with the same seed fed
 //! the same inputs (property-tested across random K, seeds, and block
-//! boundaries, with and without `wide-lanes`). This holds because every
+//! boundaries, under every forced kernel). This holds because every
 //! noise consumer owns an independent split stream, so per-lane
 //! pre-filling (batched ziggurat draws into a lanes×block noise tile
 //! via [`NoiseSource::fill_standard`]) consumes each stream in exactly
@@ -56,7 +58,10 @@ use crate::modulator::{Coefficients, SigmaDelta2};
 use crate::noise::{LockstepFill, NoiseSource};
 use crate::nonideal::NonIdealities;
 use crate::quantizer::Comparator;
-use crate::tile::{step_lane, step_tile, BitRow, F64Tile, TileConsts, TileRow, TileRows, TILE};
+use crate::tile::{
+    step_lane, step_tile_scalar, step_tile_wide, BitRow, F64Tile, TileConsts, TileRow, TileRows,
+    TILE,
+};
 
 /// One lane's input for a block conversion.
 ///
@@ -174,10 +179,11 @@ struct ChunkSrc<'a> {
 
 /// One full tile through one ≤64-clock chunk: state stays in the caller
 /// provided locals (registers), each clock's comparator byte lands in
-/// the chunk's per-clock lane word at `shift`.
+/// the chunk's per-clock lane word at `shift`. `WIDE` picks the tile
+/// body: the explicit wide-ops kernel or the portable scalar oracle.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn tile_chunk_body(
+fn tile_chunk_body<const WIDE: bool>(
     x1: &mut F64Tile,
     x2: &mut F64Tile,
     cl: &mut u8,
@@ -198,7 +204,11 @@ fn tile_chunk_body(
             zc: src.zc.tile(n, lane0),
             zr: src.zr.tile(n, lane0),
         };
-        let (vpos8, sat8) = step_tile(x1, x2, consts, &rows, *cl, *dl);
+        let (vpos8, sat8) = if WIDE {
+            step_tile_wide(x1, x2, consts, &rows, *cl, *dl)
+        } else {
+            step_tile_scalar(x1, x2, consts, &rows, *cl, *dl)
+        };
         *cl = vpos8;
         *dl = vpos8;
         *out_word |= u64::from(vpos8) << shift;
@@ -208,8 +218,8 @@ fn tile_chunk_body(
     }
 }
 
-/// Baseline-ISA instantiation of the chunk kernel (always present; the
-/// only one on non-x86 or without `wide-lanes`).
+/// Portable instantiation of the chunk kernel: the scalar tile loop at
+/// the baseline ISA (the only one off x86-64, and the oracle on it).
 #[allow(clippy::too_many_arguments)]
 fn tile_chunk_portable(
     x1: &mut F64Tile,
@@ -223,10 +233,10 @@ fn tile_chunk_portable(
     shift: u32,
     out: &mut [u64],
 ) {
-    tile_chunk_body(x1, x2, cl, dl, sat, consts, src, lane0, shift, out);
+    tile_chunk_body::<false>(x1, x2, cl, dl, sat, consts, src, lane0, shift, out);
 }
 
-/// AVX2 instantiation: identical Rust body, recompiled with 256-bit
+/// AVX2 instantiation: the wide-ops tile body compiled with 256-bit
 /// vector codegen. Bit-identical results — the body is plain IEEE
 /// adds/muls/compares/selects and Rust never contracts them into FMAs,
 /// so wider registers change scheduling only, never values.
@@ -234,7 +244,7 @@ fn tile_chunk_portable(
 /// # Safety
 ///
 /// Caller must have verified AVX2 support (the [`Isa`] dispatch does).
-#[cfg(all(feature = "wide-lanes", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn tile_chunk_avx2(
@@ -249,16 +259,17 @@ unsafe fn tile_chunk_avx2(
     shift: u32,
     out: &mut [u64],
 ) {
-    tile_chunk_body(x1, x2, cl, dl, sat, consts, src, lane0, shift, out);
+    tile_chunk_body::<true>(x1, x2, cl, dl, sat, consts, src, lane0, shift, out);
 }
 
-/// AVX-512F instantiation: one 8-lane tile per zmm register.
+/// AVX-512F instantiation of the wide-ops tile body: one 8-lane tile
+/// per zmm register.
 ///
 /// # Safety
 ///
 /// Caller must have verified AVX-512F support (the [`Isa`] dispatch
 /// does).
-#[cfg(all(feature = "wide-lanes", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn tile_chunk_avx512(
@@ -273,42 +284,29 @@ unsafe fn tile_chunk_avx512(
     shift: u32,
     out: &mut [u64],
 ) {
-    tile_chunk_body(x1, x2, cl, dl, sat, consts, src, lane0, shift, out);
+    tile_chunk_body::<true>(x1, x2, cl, dl, sat, consts, src, lane0, shift, out);
 }
 
 /// Which instantiation of the chunk kernel this process runs, resolved
-/// once per block from runtime CPU detection (`wide-lanes` on x86-64)
-/// or fixed to the portable body elsewhere.
+/// from runtime CPU detection on x86-64 (overridable with
+/// `TONOS_FORCE_KERNEL`, see [`crate::kernel`]) and fixed to the
+/// portable body elsewhere.
 #[derive(Clone, Copy, Debug)]
 enum Isa {
     Portable,
-    #[cfg(all(feature = "wide-lanes", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     Avx2,
-    #[cfg(all(feature = "wide-lanes", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     Avx512,
 }
 
 impl Isa {
     fn detect() -> Isa {
-        #[cfg(all(feature = "wide-lanes", target_arch = "x86_64"))]
-        {
-            use crate::kernel::ForcedKernel;
-            let avx2 = std::arch::is_x86_feature_detected!("avx2");
-            let avx512 = std::arch::is_x86_feature_detected!("avx512f");
-            // `TONOS_FORCE_KERNEL` pins the choice; forcing an ISA the
-            // CPU lacks falls back to the normal probe (never unsound).
-            match crate::kernel::forced_kernel() {
-                Some(ForcedKernel::Scalar) => return Isa::Portable,
-                Some(ForcedKernel::Avx2) if avx2 => return Isa::Avx2,
-                Some(ForcedKernel::Avx512) if avx512 => return Isa::Avx512,
-                _ => {}
-            }
-            if avx512 {
-                return Isa::Avx512;
-            }
-            if avx2 {
-                return Isa::Avx2;
-            }
+        #[cfg(target_arch = "x86_64")]
+        match crate::kernel::active() {
+            Some(crate::kernel::WideIsa::Avx512) => return Isa::Avx512,
+            Some(crate::kernel::WideIsa::Avx2) => return Isa::Avx2,
+            None => {}
         }
         Isa::Portable
     }
@@ -334,11 +332,11 @@ impl Isa {
             }
             // SAFETY: the variant only exists when `detect` confirmed
             // the feature on this CPU.
-            #[cfg(all(feature = "wide-lanes", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => unsafe {
                 tile_chunk_avx2(x1, x2, cl, dl, sat, consts, src, lane0, shift, out);
             },
-            #[cfg(all(feature = "wide-lanes", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             Isa::Avx512 => unsafe {
                 tile_chunk_avx512(x1, x2, cl, dl, sat, consts, src, lane0, shift, out);
             },
@@ -346,19 +344,17 @@ impl Isa {
     }
 }
 
-/// The tile kernel this build+host actually steps full tiles with —
-/// benchmarks record it next to their numbers. `"scalar-tile"` without
-/// `wide-lanes`; with it, `"wide-avx512f"` / `"wide-avx2"` /
-/// `"wide-portable"` by runtime CPU detection.
+/// The tile kernel this host actually steps full tiles with —
+/// benchmarks record it next to their numbers: `"wide-avx512f"` /
+/// `"wide-avx2"` by runtime CPU detection, `"scalar-tile"` for the
+/// portable oracle loop (no AVX2, not x86-64, or forced with
+/// `TONOS_FORCE_KERNEL=scalar-tile`).
 pub fn kernel_name() -> &'static str {
-    if !crate::tile::wide_lanes() {
-        return "scalar-tile";
-    }
     match Isa::detect() {
-        Isa::Portable => "wide-portable",
-        #[cfg(all(feature = "wide-lanes", target_arch = "x86_64"))]
+        Isa::Portable => "scalar-tile",
+        #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => "wide-avx2",
-        #[cfg(all(feature = "wide-lanes", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         Isa::Avx512 => "wide-avx512f",
     }
 }

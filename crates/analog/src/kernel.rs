@@ -1,5 +1,9 @@
-//! Process-wide kernel-selection override shared by the tiled loop
+//! Process-wide run-time kernel selection shared by the tiled loop
 //! filter ([`crate::bank`]) and the wide noise fill (`noise_wide`).
+//!
+//! [`active`] probes CPUID once per process and picks the widest
+//! explicit-SIMD kernel the host runs: AVX-512F over AVX2, or none, in
+//! which case both planes run their portable scalar oracle bodies.
 //!
 //! CI (and anyone debugging a dispatch-dependent difference) can pin
 //! the runtime kernel choice with the `TONOS_FORCE_KERNEL` environment
@@ -12,18 +16,51 @@
 //! | `wide-avx2` | pin dispatch to the AVX2 kernels (requires a CPU with AVX2) |
 //! | `wide-avx512f` | pin dispatch to the AVX-512F kernels (requires a CPU with AVX-512F) |
 //!
-//! Forcing a wide kernel the build (`--features wide-lanes`) or the
-//! CPU cannot run falls back to the normal runtime probe — the
-//! override can never select an unsupported instruction set, so it is
-//! never unsound. The resolved choice is visible through
-//! [`crate::bank::kernel_name`] and [`crate::noise::kernel_name`].
-//! The variable is read once per process and cached.
+//! Forcing a wide kernel the CPU cannot run falls back to the normal
+//! runtime probe — the override can never select an unsupported
+//! instruction set, so it is never unsound. The resolved choice is
+//! visible through [`crate::bank::kernel_name`] and
+//! [`crate::noise::kernel_name`]. The variable is read once per process
+//! and cached.
 
 use std::sync::OnceLock;
 
+/// Which explicit-SIMD kernel family dispatch resolved to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum WideIsa {
+    /// 256-bit registers: 4 noise streams per register, tiles in
+    /// two halves.
+    Avx2,
+    /// 512-bit registers: 8 noise streams, one tile per register.
+    Avx512,
+}
+
+/// The wide kernel this process runs, if any: runtime CPUID probe
+/// (AVX-512F over AVX2), pinned by `TONOS_FORCE_KERNEL`. `None` means
+/// every lane takes the portable scalar bodies. Resolved once and
+/// cached.
+pub(crate) fn active() -> Option<WideIsa> {
+    static ACTIVE: OnceLock<Option<WideIsa>> = OnceLock::new();
+    *ACTIVE.get_or_init(|| {
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        let avx512 = std::arch::is_x86_feature_detected!("avx512f");
+        match forced_kernel() {
+            Some(ForcedKernel::Scalar) => None,
+            Some(ForcedKernel::Avx2) if avx2 => Some(WideIsa::Avx2),
+            Some(ForcedKernel::Avx512) if avx512 => Some(WideIsa::Avx512),
+            // An unsupported forced wide kernel falls back to the
+            // probe — the override can never select an ISA this CPU
+            // lacks.
+            _ if avx512 => Some(WideIsa::Avx512),
+            _ if avx2 => Some(WideIsa::Avx2),
+            _ => None,
+        }
+    })
+}
+
 /// Parsed value of `TONOS_FORCE_KERNEL`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum ForcedKernel {
+enum ForcedKernel {
     /// Portable scalar bodies everywhere.
     Scalar,
     /// Pin dispatch to the AVX2 kernels.
@@ -39,7 +76,7 @@ pub(crate) enum ForcedKernel {
 /// Panics (once, on first dispatch) when the variable is set to an
 /// unknown kernel name — a forced-selection typo must fail loudly, not
 /// silently benchmark or test the wrong body.
-pub(crate) fn forced_kernel() -> Option<ForcedKernel> {
+fn forced_kernel() -> Option<ForcedKernel> {
     static FORCED: OnceLock<Option<ForcedKernel>> = OnceLock::new();
     *FORCED.get_or_init(|| match std::env::var("TONOS_FORCE_KERNEL") {
         Err(_) => None,

@@ -361,8 +361,8 @@ impl NoiseSource {
 /// how they are batched. Holding K streams' state words in
 /// structure-of-arrays form and stepping all K per clock turns that
 /// latency into throughput: the K chains interleave in the pipeline and
-/// the pure-integer generator loop autovectorizes. Under `--features
-/// wide-lanes` on x86-64 the fill goes further: an explicit-SIMD kernel
+/// the pure-integer generator loop autovectorizes. On x86-64 hosts with
+/// AVX2 or AVX-512F the fill goes further: an explicit-SIMD kernel
 /// (`noise_wide`, picked at runtime like the tile kernels — see
 /// [`kernel_name`]) steps 4 (AVX2) or 8 (AVX-512F) streams per vector
 /// register and performs the speculative ziggurat accept branchlessly
@@ -420,10 +420,9 @@ impl LockstepFill {
     /// `out[n*k + j] = stream_j.standard() * sigmas[j]` for each clock
     /// `n` — the lane bank's pre-multiplied noise tiles.
     ///
-    /// Dispatches to the explicit-SIMD wide kernel when the build
-    /// (`--features wide-lanes`) and the host CPU support one (see
-    /// [`kernel_name`]); the portable lockstep rows otherwise. Either
-    /// path is bit-identical.
+    /// Dispatches to the explicit-SIMD wide kernel when the host CPU
+    /// supports one (see [`kernel_name`]); the portable lockstep rows
+    /// otherwise. Either path is bit-identical.
     pub fn fill_scaled(&mut self, sigmas: &[f64], clocks: usize, out: &mut [f64]) {
         self.fill_dispatch(Epilogue::Scaled { sigmas }, clocks, out);
     }
@@ -475,9 +474,9 @@ impl LockstepFill {
 
     /// Runs the explicit-SIMD kernel over the leading full vector
     /// groups, returning the number of lanes it handled.
-    #[cfg(all(feature = "wide-lanes", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     fn fill_wide(&mut self, ep: Epilogue<'_>, clocks: usize, out: &mut [f64]) -> usize {
-        let Some(isa) = crate::noise_wide::active() else {
+        let Some(isa) = crate::kernel::active() else {
             return 0;
         };
         let k = self.bits.len();
@@ -494,9 +493,9 @@ impl LockstepFill {
         )
     }
 
-    /// Without `wide-lanes` (or off x86-64) there is no wide kernel:
-    /// every lane goes through the portable rows.
-    #[cfg(not(all(feature = "wide-lanes", target_arch = "x86_64")))]
+    /// Off x86-64 there is no wide kernel: every lane goes through the
+    /// portable rows.
+    #[cfg(not(target_arch = "x86_64"))]
     fn fill_wide(&mut self, _ep: Epilogue<'_>, _clocks: usize, _out: &mut [f64]) -> usize {
         0
     }
@@ -565,16 +564,16 @@ impl LockstepFill {
     }
 }
 
-/// The lockstep-fill kernel this build+host actually runs — benchmarks
-/// record it next to their ns/draw numbers. `"scalar-lockstep"`
-/// without `wide-lanes` (or when no wide ISA is available, or when
-/// `TONOS_FORCE_KERNEL=scalar-tile` pins the portable bodies);
-/// `"wide-avx2"` / `"wide-avx512f"` by runtime CPU detection with it.
+/// The lockstep-fill kernel this host actually runs — benchmarks
+/// record it next to their ns/draw numbers: `"wide-avx2"` /
+/// `"wide-avx512f"` by runtime CPU detection, `"scalar-lockstep"` when
+/// no wide ISA is available (or off x86-64, or when
+/// `TONOS_FORCE_KERNEL=scalar-tile` pins the portable bodies).
 pub fn kernel_name() -> &'static str {
-    #[cfg(all(feature = "wide-lanes", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
-        use crate::noise_wide::WideIsa;
-        if let Some(isa) = crate::noise_wide::active() {
+        use crate::kernel::WideIsa;
+        if let Some(isa) = crate::kernel::active() {
             return match isa {
                 WideIsa::Avx2 => "wide-avx2",
                 WideIsa::Avx512 => "wide-avx512f",

@@ -1,5 +1,5 @@
 //! The **wide noise plane**: explicit-SIMD lockstep ziggurat fill for
-//! the lane bank (`--features wide-lanes`, x86-64 only).
+//! the lane bank (x86-64 only; picked at run time from CPUID).
 //!
 //! The portable [`LockstepFill`](crate::noise::LockstepFill) rows are
 //! already structure-of-arrays — K xoshiro256++ streams side by side —
@@ -40,49 +40,16 @@
 //! rows can stay the always-compiled oracle (ARCHITECTURE §4's
 //! scalar-as-oracle rule).
 //!
-//! Dispatch mirrors the tile kernels in [`crate::bank`]: runtime CPUID
-//! probe, AVX-512F preferred over AVX2, overridable via
+//! Dispatch is shared with the tile kernels in [`crate::bank`]: one
+//! runtime CPUID probe, AVX-512F preferred over AVX2, overridable via
 //! `TONOS_FORCE_KERNEL` (see [`crate::kernel`]). The kernels handle
 //! the leading full vector groups; the caller runs partial-tail lanes
 //! through the portable rows.
 
 use std::arch::x86_64::*;
 
-use crate::kernel::{forced_kernel, ForcedKernel};
+use crate::kernel::WideIsa;
 use crate::noise::{replay_slot, ziggurat_xs, Epilogue, ZIGGURAT_LAYERS};
-
-/// Which explicit-SIMD fill kernel dispatch resolved to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum WideIsa {
-    /// 4 streams per 256-bit register.
-    Avx2,
-    /// 8 streams per 512-bit register.
-    Avx512,
-}
-
-/// The wide kernel this process runs, if any: runtime CPUID probe
-/// (AVX-512F over AVX2), capped/pinned by `TONOS_FORCE_KERNEL`. `None`
-/// means every lane takes the portable lockstep rows.
-pub(crate) fn active() -> Option<WideIsa> {
-    let avx2 = std::arch::is_x86_feature_detected!("avx2");
-    let avx512 = std::arch::is_x86_feature_detected!("avx512f");
-    match forced_kernel() {
-        Some(ForcedKernel::Scalar) => None,
-        Some(ForcedKernel::Avx2) if avx2 => Some(WideIsa::Avx2),
-        Some(ForcedKernel::Avx512) if avx512 => Some(WideIsa::Avx512),
-        // An unsupported forced wide kernel falls back to the probe —
-        // the override can never select an ISA this CPU lacks.
-        _ => {
-            if avx512 {
-                Some(WideIsa::Avx512)
-            } else if avx2 {
-                Some(WideIsa::Avx2)
-            } else {
-                None
-            }
-        }
-    }
-}
 
 /// Fills the leading full vector groups of a clock-major `clocks × k`
 /// tile with scaled standard-normal draws, advancing the lockstep
@@ -116,8 +83,8 @@ pub(crate) fn fill(
         assert!(biases.len() >= k, "one bias per lane");
     }
     match (isa, biased) {
-        // SAFETY: `active()` (the only producer of `WideIsa`) confirmed
-        // the matching CPU feature at runtime.
+        // SAFETY: `kernel::active()` (the only producer of `WideIsa`)
+        // confirmed the matching CPU feature at runtime.
         (WideIsa::Avx2, false) => unsafe {
             fill_avx2::<false>(s0, s1, s2, s3, biases, sigmas, clocks, k, out)
         },

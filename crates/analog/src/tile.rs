@@ -3,21 +3,24 @@
 //!
 //! A tile is [`TILE`] (= 8) f64 lanes in one cache-line-aligned row
 //! ([`F64Tile`]). The bank stores every kernel-touched state and
-//! coefficient row as a sequence of tiles and steps full tiles with
-//! `step_tile`, which exists in two bit-identical bodies:
+//! coefficient row as a sequence of tiles and steps full tiles with one
+//! of two bit-identical bodies, picked per process by the bank's
+//! run-time CPU dispatch:
 //!
-//! * the **portable scalar tile loop** (always compiled — the oracle
-//!   and the default), eight `step_lane` calls in lane order; and
-//! * the **explicit wide-ops kernel** behind the `wide-lanes` cargo
-//!   feature: straight-line `core::simd`-style passes over whole tiles
-//!   (splat / blend / lane-mask compares / sign-bit selects), with the
-//!   comparator and DAC histories carried as packed `u8` lane masks so
+//! * the **portable scalar tile loop** (`step_tile_scalar`), eight
+//!   `step_lane` calls in lane order — the oracle, and the body every
+//!   non-x86-64 host and every x86-64 host without AVX2 runs; and
+//! * the **explicit wide-ops kernel** (`step_tile_wide`), which the
+//!   AVX2 and AVX-512F chunk instantiations run: straight-line
+//!   `core::simd`-style passes over whole tiles (splat / blend /
+//!   lane-mask compares / sign-bit selects), with the comparator and
+//!   DAC histories carried as packed `u8` lane masks so
 //!   quantize/feedback is mask arithmetic, not per-lane branches.
 //!
 //! Both bodies evaluate every floating-point expression with the exact
 //! association of the scalar `SigmaDelta2::step`,
 //! so either kernel is bit-identical to the scalar modulator — the
-//! property `tests/bank_oracle.rs` proves across both feature sets.
+//! property `tests/bank_oracle.rs` proves under every forced kernel.
 
 /// Lanes per tile: one 64-byte cache line of f64s, and the unroll width
 /// of the wide kernel.
@@ -28,8 +31,8 @@ pub const TILE: usize = 8;
 /// loop filter needs.
 ///
 /// Arithmetic helpers are plain lane-wise loops: on the scalar path they
-/// document the semantics, on the `wide-lanes` path their fixed width
-/// and branch-free bodies are the shape LLVM turns into vector
+/// document the semantics, in the wide kernel their fixed width and
+/// branch-free bodies are the shape LLVM turns into vector
 /// instructions. Lane masks are `u8` words, bit `i` = lane `i`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[repr(align(64))]
@@ -226,9 +229,8 @@ pub(crate) fn step_lane(
 }
 
 /// The portable scalar tile body: [`TILE`] lanes through [`step_lane`]
-/// in lane order. Always compiled — it is the oracle the wide kernel is
-/// tested against, and the default [`step_tile`].
-#[cfg_attr(feature = "wide-lanes", allow(dead_code))]
+/// in lane order — the oracle the wide kernel is tested against, and
+/// the body the bank's portable dispatch target runs.
 pub(crate) fn step_tile_scalar(
     x1: &mut F64Tile,
     x2: &mut F64Tile,
@@ -267,12 +269,13 @@ pub(crate) fn step_tile_scalar(
     (vpos8, sat8)
 }
 
-/// The explicit wide-ops tile body (`wide-lanes`): branch-free
-/// whole-tile passes, with the ±1 histories and comparator decisions as
+/// The explicit wide-ops tile body the AVX2 and AVX-512F chunk
+/// instantiations run: branch-free whole-tile passes, with the ±1 histories and comparator decisions as
 /// packed `u8` lane masks. Bit-identical to [`step_tile_scalar`] —
 /// every select is a mask blend over values computed with the same
 /// association, and the ±1 multiplies become exact sign flips.
-#[cfg_attr(not(feature = "wide-lanes"), allow(dead_code))]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[inline(always)]
 pub(crate) fn step_tile_wide(
     x1: &mut F64Tile,
     x2: &mut F64Tile,
@@ -308,21 +311,6 @@ pub(crate) fn step_tile_wide(
     let lo2 = next2.lt_mask(neg_sat);
     *x2 = F64Tile::blend(hi2, c.sat, F64Tile::blend(lo2, neg_sat, next2));
     (vpos8, hi1 | lo1 | hi2 | lo2)
-}
-
-#[cfg(not(feature = "wide-lanes"))]
-pub(crate) use step_tile_scalar as step_tile;
-/// The tile kernel the bank's loop filter runs on full tiles: the wide
-/// body with `--features wide-lanes`, the scalar tile loop otherwise.
-#[cfg(feature = "wide-lanes")]
-pub(crate) use step_tile_wide as step_tile;
-
-/// True when this build steps full tiles with the explicit wide-ops
-/// kernel (`--features wide-lanes`); false when it runs the portable
-/// scalar tile loop.
-#[must_use]
-pub const fn wide_lanes() -> bool {
-    cfg!(feature = "wide-lanes")
 }
 
 /// One hot state or coefficient row stored as aligned tiles. Logical

@@ -3,10 +3,15 @@
 //! bitstream, the same counters, and the same carried state as a scalar
 //! [`SigmaDelta2`] with the same seed fed the same inputs — across
 //! random lane counts, seeds, block boundaries, and mid-run lane
-//! perturbations (reset / retire / late join).
+//! perturbations (reset / retire / late join). A plain `cargo test` on
+//! an x86-64 host with AVX2 checks the wide tile kernel;
+//! `TONOS_FORCE_KERNEL=scalar-tile` checks the portable tile loop.
 
+mod common;
+
+use common::expected_kernel;
 use proptest::prelude::*;
-use tonos_analog::bank::{LaneInput, SigmaDelta2Bank};
+use tonos_analog::bank::{kernel_name, LaneInput, SigmaDelta2Bank};
 use tonos_analog::modulator::{DeltaSigmaModulator, SigmaDelta2};
 use tonos_analog::nonideal::NonIdealities;
 use tonos_dsp::bits::PackedBits;
@@ -373,4 +378,16 @@ fn saturating_input_counts_overloads_like_scalar() {
     assert_eq!(bits[0], oracle.packed());
     assert!(oracle.dsm.saturation_events() > 0, "stimulus must overload");
     assert_eq!(bank.saturation_events(0), oracle.dsm.saturation_events());
+}
+
+/// The reported tile kernel is one of the documented names, and an
+/// unforced x86-64 host with AVX2 steps full tiles with a wide one.
+#[test]
+fn bank_kernel_name_matches_runtime_dispatch() {
+    let name = kernel_name();
+    assert!(
+        ["scalar-tile", "wide-avx2", "wide-avx512f"].contains(&name),
+        "unknown tile kernel {name:?}"
+    );
+    assert_eq!(name, expected_kernel("scalar-tile"));
 }

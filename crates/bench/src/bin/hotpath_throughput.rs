@@ -26,9 +26,12 @@
 //! noisy CI runners.
 //!
 //! Run with: `cargo run --release -p tonos-bench --bin hotpath_throughput`
-//! (`--quick` shrinks the workload for CI smoke runs). Build with
-//! `--features wide-lanes` to measure the explicit wide-ops tile
-//! kernel; the `kernel` JSON field records which one ran.
+//! (`--quick` shrinks the workload for CI smoke runs). The lane bank
+//! picks its tile kernel from the host CPU at run time — the explicit
+//! wide-ops kernel on x86-64 with AVX2 or AVX-512F, the portable
+//! scalar tile loop otherwise — and the `kernel` JSON field records
+//! which one ran; `TONOS_FORCE_KERNEL=scalar-tile` measures the
+//! portable loop on any host.
 
 use std::time::Instant;
 
@@ -461,7 +464,7 @@ fn main() {
     // sanity floor on a single core (where W > 1 cannot speed anything
     // up). The K=16 session gate (1.6x on any host) rides the wide
     // kernel at the clock level too, with a "tiling must not lose"
-    // floor for the portable scalar-tile build.
+    // floor when the portable scalar-tile kernel runs.
     let relax = if quick { 0.6 } else { 1.0 };
     let gate_packed = 1.0 * relax;
     let gate_tiled_clock = relax * if wide { 1.25 } else { 0.9 };
@@ -570,7 +573,7 @@ fn main() {
     println!("    \"gate_k8_vs_in_run_scalar_min\": {gate_k8_scalar:.3},");
     println!("    \"gate_best_pool_speedup_min\": {gate_pool:.3},");
     println!(
-        "    \"note\": \"all gates are in-run ratios measured back to back (host-speed drift cancels; the seed anchor is data only); core-scaled: the 4x pool target assumes an 8-core host (2.5x on any multi-core, sanity floor on one core); the 1.6x single-core K=16 session gate holds on any host; the clock-level gate tracks the wide-lanes kernel (tiling-must-not-lose floor for the portable build); the noise gates demand wide >= 1.5x the portable lockstep rows when a wide ISA is active and lockstep >= 1.0x the serial per-draw loop; --quick relaxes all gates to 60% for noisy CI runners\""
+        "    \"note\": \"all gates are in-run ratios measured back to back (host-speed drift cancels; the seed anchor is data only); core-scaled: the 4x pool target assumes an 8-core host (2.5x on any multi-core, sanity floor on one core); the 1.6x single-core K=16 session gate holds on any host; the clock-level gate tracks the wide tile kernel the CPU dispatch picks (tiling-must-not-lose floor when the portable scalar-tile kernel runs); the noise gates demand wide >= 1.5x the portable lockstep rows when a wide ISA is active and lockstep >= 1.0x the serial per-draw loop; --quick relaxes all gates to 60% for noisy CI runners\""
     );
     println!("  }},");
     println!(

@@ -16,6 +16,14 @@
 //! (compressed from the exact model) and interpolates it per conversion
 //! frame; out-of-table loads fall back to the exact (slow) model so
 //! accuracy is never silently lost.
+//!
+//! Building the tables re-integrates the membrane model at every table
+//! point, a few milliseconds per chip. Chips fabricated from the same
+//! [`ChipConfig`] are identical, so the tables are shared: a small,
+//! fixed-capacity process-wide memo keyed by the whole configuration
+//! hands every such chip the same `Arc` of tables.
+
+use std::sync::{Arc, Mutex, PoisonError};
 
 use tonos_analog::frontend::{CapacitiveFrontEnd, VoltageInput};
 use tonos_analog::modulator::{DeltaSigmaModulator, SigmaDelta2};
@@ -36,6 +44,10 @@ const LUT_MAX_PA: f64 = 150_000.0;
 /// Lookup table points (1 kPa ≈ 7.5 mmHg resolution before
 /// interpolation; capacitance is glassy smooth on that scale).
 const LUT_POINTS: usize = 301;
+
+/// Distinct chip configurations whose capacitance tables the memo keeps
+/// (≈ 10 KiB of tables each for the paper's 2×2 array).
+const LUT_MEMO_CAPACITY: usize = 16;
 
 /// Per-element pressure→capacitance interpolation table.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,6 +83,74 @@ impl CapacitanceLut {
     }
 }
 
+/// Fixed-capacity memo of capacitance tables keyed by the whole chip
+/// configuration, compared with `==` (a configuration holding a NaN
+/// never matches, so it rebuilds). Entries are kept least recently
+/// used first; a full memo evicts the front.
+#[derive(Debug)]
+struct LutMemo {
+    entries: Vec<(ChipConfig, Arc<[CapacitanceLut]>)>,
+}
+
+impl LutMemo {
+    /// An empty memo.
+    const fn new() -> Self {
+        LutMemo {
+            entries: Vec::new(),
+        }
+    }
+
+    /// The tables memoized for `config`, marking them most recently
+    /// used.
+    fn get(&mut self, config: &ChipConfig) -> Option<Arc<[CapacitanceLut]>> {
+        let i = self.entries.iter().position(|(c, _)| c == config)?;
+        let entry = self.entries.remove(i);
+        let luts = Arc::clone(&entry.1);
+        self.entries.push(entry);
+        Some(luts)
+    }
+
+    /// Memoizes `luts` for `config` unless an entry already exists, and
+    /// returns the memoized tables.
+    fn insert(&mut self, config: ChipConfig, luts: Arc<[CapacitanceLut]>) -> Arc<[CapacitanceLut]> {
+        if let Some(existing) = self.get(&config) {
+            return existing;
+        }
+        if self.entries.len() == LUT_MEMO_CAPACITY {
+            self.entries.remove(0);
+        }
+        self.entries.push((config, Arc::clone(&luts)));
+        luts
+    }
+}
+
+/// The process-wide memo every [`SensorChip::new`] draws from.
+static LUT_MEMO: Mutex<LutMemo> = Mutex::new(LutMemo::new());
+
+/// The capacitance tables of the chip `config` fabricates as `array`:
+/// the memoized ones when `memo` holds this configuration, otherwise a
+/// fresh build, which is then memoized.
+fn memoized_luts(
+    memo: &Mutex<LutMemo>,
+    config: &ChipConfig,
+    array: &SensorArray,
+) -> Result<Arc<[CapacitanceLut]>, SystemError> {
+    // A poisoned memo is still consistent: every update is one Vec
+    // remove or push, each leaving whole entries behind.
+    let lock = || memo.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(luts) = lock().get(config) {
+        return Ok(luts);
+    }
+    // Built outside the lock: chips of other configurations must not
+    // wait behind a build. Racing builders of one configuration produce
+    // identical tables, and the first to insert wins.
+    let luts = array
+        .iter()
+        .map(|(_, element)| CapacitanceLut::build(element))
+        .collect::<Result<Arc<[_]>, _>>()?;
+    Ok(lock().insert(*config, luts))
+}
+
 /// The integrated tactile sensor chip.
 #[derive(Debug, Clone)]
 pub struct SensorChip {
@@ -81,7 +161,9 @@ pub struct SensorChip {
     frontend: CapacitiveFrontEnd,
     voltage_input: VoltageInput,
     power: PowerModel,
-    luts: Vec<CapacitanceLut>,
+    /// One table per element, shared by every chip of this
+    /// configuration (see [`LUT_MEMO`]).
+    luts: Arc<[CapacitanceLut]>,
     /// Reused per-call capacitance snapshot buffer (taken and restored by
     /// the hot entry points so they stay allocation-free per frame).
     caps_scratch: Vec<Farads>,
@@ -93,8 +175,9 @@ pub struct SensorChip {
 impl SensorChip {
     /// Fabricates a chip from a configuration (array with seeded
     /// mismatch, front end referenced to the on-chip reference structure,
-    /// modulator with the configured non-idealities) and precomputes the
-    /// capacitance lookup tables.
+    /// modulator with the configured non-idealities) and takes the
+    /// capacitance lookup tables from the process-wide memo, building
+    /// them on the first chip of a configuration.
     ///
     /// # Errors
     ///
@@ -123,10 +206,7 @@ impl SensorChip {
         )?;
         let voltage_input = VoltageInput::new(vref)?;
         let power = PowerModel::paper_default();
-        let mut luts = Vec::with_capacity(config.layout.len());
-        for (_, element) in array.iter() {
-            luts.push(CapacitanceLut::build(element)?);
-        }
+        let luts = memoized_luts(&LUT_MEMO, &config, &array)?;
         Ok(SensorChip {
             config,
             array,
@@ -245,7 +325,7 @@ impl SensorChip {
         }
         caps.clear();
         caps.reserve(pressures.len());
-        for (((_, element), lut), &p) in self.array.iter().zip(&self.luts).zip(pressures) {
+        for (((_, element), lut), &p) in self.array.iter().zip(self.luts.iter()).zip(pressures) {
             let c = match lut.lookup(p) {
                 Some(c) => c,
                 None => element.capacitance(p)?,
@@ -584,6 +664,79 @@ mod tests {
             a.capacitances(&frame).unwrap(),
             c.capacitances(&frame).unwrap()
         );
+    }
+
+    /// Lookup results of `luts` over a sweep spanning the whole table
+    /// and past both ends, as raw bits.
+    fn sweep_bits(luts: &[CapacitanceLut]) -> Vec<Option<u64>> {
+        let mut out = Vec::new();
+        for lut in luts {
+            for i in 0..=1_000 {
+                let p = Pascals(1.1 * LUT_MIN_PA + i as f64 * 0.33e3);
+                out.push(lut.lookup(p).map(|c| c.value().to_bits()));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn memoized_tables_equal_a_fresh_build_bit_for_bit() {
+        let memo = Mutex::new(LutMemo::new());
+        let config = ChipConfig::paper_default();
+        let array = chip().array;
+        let built = memoized_luts(&memo, &config, &array).unwrap();
+        let hit = memoized_luts(&memo, &config, &array).unwrap();
+        assert!(
+            Arc::ptr_eq(&built, &hit),
+            "second chip must reuse the tables"
+        );
+        let fresh: Vec<CapacitanceLut> = array
+            .iter()
+            .map(|(_, element)| CapacitanceLut::build(element).unwrap())
+            .collect();
+        assert_eq!(sweep_bits(&hit), sweep_bits(&fresh));
+        // And the process-wide memo behind `SensorChip::new` agrees.
+        assert_eq!(sweep_bits(&chip().luts), sweep_bits(&fresh));
+    }
+
+    #[test]
+    fn configs_differing_in_seed_or_grid_get_their_own_tables() {
+        let memo = Mutex::new(LutMemo::new());
+        let base = ChipConfig::paper_default();
+        let mut seeded = base;
+        seeded.fabrication_seed ^= 1;
+        let mut gridded = base;
+        gridded.capacitance_grid += 2;
+        let tables: Vec<Vec<Option<u64>>> = [base, seeded, gridded]
+            .iter()
+            .map(|cfg| {
+                let array = SensorChip::new(*cfg).unwrap().array;
+                sweep_bits(&memoized_luts(&memo, cfg, &array).unwrap())
+            })
+            .collect();
+        assert_ne!(tables[0], tables[1], "fabrication seed must key the memo");
+        assert_ne!(tables[0], tables[2], "capacitance grid must key the memo");
+        assert_ne!(tables[1], tables[2]);
+        assert_eq!(memo.lock().unwrap().entries.len(), 3);
+    }
+
+    #[test]
+    fn memo_never_exceeds_its_capacity() {
+        let memo = Mutex::new(LutMemo::new());
+        let array = chip().array;
+        let mut config = ChipConfig::paper_default();
+        for seed in 0..3 * LUT_MEMO_CAPACITY as u64 {
+            config.fabrication_seed = seed;
+            memoized_luts(&memo, &config, &array).unwrap();
+            assert!(memo.lock().unwrap().entries.len() <= LUT_MEMO_CAPACITY);
+        }
+        // The most recent configuration survived; the first was evicted.
+        let memo = memo.lock().unwrap();
+        assert_eq!(memo.entries.len(), LUT_MEMO_CAPACITY);
+        assert!(memo.entries.iter().any(|(c, _)| *c == config));
+        assert!(memo.entries.iter().all(|(c, _)| c.fabrication_seed != 0));
+        // The process-wide memo holds to the same bound.
+        assert!(LUT_MEMO.lock().unwrap().entries.len() <= LUT_MEMO_CAPACITY);
     }
 
     #[test]

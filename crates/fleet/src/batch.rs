@@ -25,9 +25,9 @@
 //!   [`BatchScratch`]: the lane bank's noise tiles are grown by the
 //!   first batch a worker runs and reused for every later batch, so
 //!   the steady state allocates nothing per group. The prefill routes
-//!   through `LockstepFill`, so under `--features wide-lanes` every
-//!   shard inherits the explicit-SIMD noise kernel (4/8 generator
-//!   streams per vector register) with no change up here.
+//!   through `LockstepFill`, so on an x86-64 host with AVX2 or
+//!   AVX-512F every shard inherits the explicit-SIMD noise kernel (4/8
+//!   generator streams per vector register) with no change up here.
 //! * **Same isolation.** Every session in a batch still gets its own
 //!   telemetry [`Registry`]; lanes share an instruction stream, never a
 //!   registry.

@@ -1286,12 +1286,13 @@ impl HistorianReader {
 
     /// Ranged waveform read under a point budget: picks the finest
     /// tier whose point count over `[from, to)` fits `max_points`
-    /// (skipping tiers the compaction pyramid has not built yet), and
-    /// when even the coarsest built tier overshoots the budget, reads
-    /// that coarsest tier and stride-subsamples it down. The returned
-    /// byte volume is therefore bounded by `max_points`, and the read
-    /// volume by the coarsest tier's resolution — never the full
-    /// tier-0 recording unless tier 0 is all there is.
+    /// (skipping tiers the compaction pyramid has not built as far as
+    /// tier 0 reaches into the range), and when even the coarsest such
+    /// tier overshoots the budget, reads that tier and stride-subsamples
+    /// it down. The returned byte volume is therefore bounded by
+    /// `max_points`, and the read volume by the coarsest covering tier's
+    /// resolution — the full tier-0 recording only when no coarse tier
+    /// reaches the range's end yet.
     ///
     /// # Errors
     ///
@@ -1308,14 +1309,24 @@ impl HistorianReader {
         let max_points = max_points.max(1);
         let span = to.saturating_sub(from).max(1);
         let snap = self.snapshot();
-        // Finest-first among tiers that fit the budget; if none fits,
-        // the coarsest tier with any data minimizes what must be read
-        // before subsampling.
+        // How far into the range a tier's records reach. Compaction
+        // builds whole blocks only, so a coarse tier can stop short of
+        // the uncompacted tail that tier 0 already holds.
+        let reach = |tier| {
+            snap.range(device, session, tier, from, to)
+                .last()
+                .map(|e| e.clock_end.min(to))
+        };
+        let reach0 = reach(0);
+        // Finest-first among tiers that cover as much of the range as
+        // tier 0 and fit the budget; if none fits, the coarsest such
+        // tier minimizes what must be read before subsampling.
         let mut pick = None;
         let mut coarsest = 0u8;
         for tier in 0..=MAX_TIER {
-            if snap.range(device, session, tier, from, to).is_empty() {
-                continue;
+            match reach(tier) {
+                Some(end) if reach0.is_none_or(|end0| end >= end0) => {}
+                _ => continue,
             }
             coarsest = tier;
             if pick.is_none() && span / tier_stride(tier) <= max_points as u64 {
@@ -1501,6 +1512,40 @@ mod tests {
         let wave = reader.read_range(7, 1, 0, 8192, 64).unwrap();
         assert!(wave.tier >= 1, "tier {}", wave.tier);
         assert!(wave.points.len() <= 64);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn budgeted_read_past_the_compacted_prefix_falls_back_to_tier_zero() {
+        let dir = scratch_dir("store-tier-reach");
+        let t = Telemetry::disabled();
+        let (h, _) = Historian::open(&dir, StoreConfig::default(), &t).unwrap();
+        // 60 000 samples at the default 4096-sample tier block: tier 1
+        // covers the first 14 blocks, [0, 57 344), and nothing after.
+        for k in 0..60u64 {
+            let (raw, cal) = lanes(1000, k as f64);
+            h.append(3, 9, k * 1000, 1000.0, &raw, &cal).unwrap();
+        }
+        h.compact().unwrap();
+        let reader = h.reader();
+        let tier1_end = h.snapshot().last_for(3, 9, 1).unwrap().clock_end;
+        assert_eq!(tier1_end, 57_344);
+        // The range overlaps tier 1's last record by 10 clocks, which
+        // hold no tier-1 sample; tier 0 holds all 815.
+        let (from, to) = (57_334, 58_149);
+        let full = reader.read_tier(3, 9, 0, from, to).unwrap();
+        assert_eq!(full.points.len(), 815);
+        let wave = reader.read_range(3, 9, from, to, 256).unwrap();
+        assert_eq!(wave.tier, 0);
+        assert!(!wave.points.is_empty() && wave.points.len() <= 256);
+        let stride = wave.stride as usize;
+        let expected: Vec<WavePoint> = full.points.iter().step_by(stride).copied().collect();
+        assert_eq!(wave.points, expected);
+        // A range inside the compacted prefix still lands on tier 1.
+        let wave = reader.read_range(3, 9, 0, tier1_end, 256).unwrap();
+        assert_eq!(wave.tier, 1);
+        assert!(wave.points.len() <= 256);
+        drop(reader);
         std::fs::remove_dir_all(&dir).ok();
     }
 

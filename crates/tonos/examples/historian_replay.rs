@@ -140,7 +140,10 @@ fn main() {
 
     // Build the downsampled tiers, then replay the recording at three
     // zoom levels: every read is bounded by its own point budget, and
-    // the store picks the coarsest tier that still fits.
+    // the store picks the coarsest tier that fits among those reaching
+    // as far into the range as tier 0. Compaction builds whole blocks
+    // only, so the uncompacted tail keeps whole-recording reads on
+    // tier 0; the compacted prefix replays from tier 1.
     let report = hub.historian().compact().expect("compact");
     println!(
         "compaction: {} tier records over {} source samples",
@@ -148,19 +151,22 @@ fn main() {
     );
     let snap = hub.historian().snapshot();
     let (from, to) = snap.session_span(DEVICE, 1).expect("session has data");
+    let compacted = snap.last_for(DEVICE, 1, 1).expect("tier 1 built").clock_end;
     let reader = hub.historian().reader();
-    for budget in [2_000usize, 200, 20] {
-        let wave = reader
-            .read_range(DEVICE, 1, from, to, budget)
-            .expect("ranged read");
-        println!(
-            "replay budget {budget:>4}: {} points from tier {} \
-             (stride {}, {:.1} Hz effective)",
-            wave.points.len(),
-            wave.tier,
-            wave.stride,
-            wave.sample_rate_hz
-        );
+    for (span, end) in [("recording", to), ("compacted", compacted)] {
+        for budget in [2_000usize, 200, 20] {
+            let wave = reader
+                .read_range(DEVICE, 1, from, end, budget)
+                .expect("ranged read");
+            println!(
+                "replay {span} [{from}, {end}) budget {budget:>4}: {} points from tier {} \
+                 (stride {}, {:.1} Hz effective)",
+                wave.points.len(),
+                wave.tier,
+                wave.stride,
+                wave.sample_rate_hz
+            );
+        }
     }
     drop(reader);
 
