@@ -1,7 +1,7 @@
 //! The measurement-session HTTP API: the lifecycle endpoints a
-//! frontend polls, served `std`-only in the `tonos-scope` mould (one
-//! accept thread, inline handling, short IO timeouts) — extended with
-//! `POST` bodies, which telemetry scrapes never needed.
+//! frontend polls, as routes on the shared [`HttpServer`], so a slow
+//! client never delays another's poll and a request cut short never
+//! routes.
 //!
 //! Routes:
 //!
@@ -24,200 +24,44 @@
 //! All JSON is hand-rolled (the build is dependency-free); NaN
 //! serializes as `null`.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::net::SocketAddr;
 
-use tonos_telemetry::{names, Counter, Telemetry};
+use tonos_telemetry::http::{HttpServer, Request, Response};
+use tonos_telemetry::{json_array, json_escape, json_f64, names, Telemetry};
 
 use crate::hub::MeasurementHub;
 
-/// Accept-loop poll interval.
-const POLL: Duration = Duration::from_millis(2);
-
-/// How long one request may stall on a slow client.
-const IO_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// Request size cap (line + headers + small JSON body).
-const MAX_REQUEST: usize = 8192;
-
-/// A running measurement-session API server.
-///
-/// Bind with [`MeasurementApi::bind`], learn the ephemeral port from
-/// [`MeasurementApi::local_addr`], stop with
-/// [`MeasurementApi::shutdown`].
+/// A running measurement-session API server; stop it with
+/// [`MeasurementApi::shutdown`] or by dropping it.
 #[derive(Debug)]
 pub struct MeasurementApi {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    http: HttpServer,
 }
 
 impl MeasurementApi {
     /// Binds and starts serving `hub` at `addr` (`"127.0.0.1:0"` picks
-    /// an ephemeral port); requests count into
-    /// `historian.api_requests` on `telemetry`.
+    /// an ephemeral port); every request that reaches the routes counts
+    /// into `historian.api_requests` on `telemetry`.
     ///
     /// # Errors
     ///
     /// Propagates bind/configuration I/O failures.
     pub fn bind(addr: &str, hub: MeasurementHub, telemetry: &Telemetry) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_accept = Arc::clone(&stop);
         let requests = telemetry.counter(names::HISTORIAN_API_REQUESTS);
-        let accept_thread =
-            thread::spawn(move || accept_loop(&listener, &hub, &stop_accept, &requests));
-        Ok(MeasurementApi {
-            addr: local,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+        let http = HttpServer::bind(addr, move |req| {
+            requests.inc();
+            route(req, &hub)
+        })?;
+        Ok(MeasurementApi { http })
     }
 
     /// The bound address (with the resolved ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.http.local_addr()
     }
 
-    /// Stops the accept loop and joins it.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            handle.join().expect("api accept thread never panics");
-        }
-    }
-}
-
-impl Drop for MeasurementApi {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    hub: &MeasurementHub,
-    stop: &AtomicBool,
-    requests: &Counter,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                requests.inc();
-                let _ = serve(stream, hub);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(POLL),
-            Err(_) => thread::sleep(POLL),
-        }
-    }
-}
-
-fn serve(mut stream: TcpStream, hub: &MeasurementHub) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let request = read_request(&mut stream)?;
-    let (status, body) = match parse_request(&request) {
-        None => ("400 Bad Request", err_json("malformed request")),
-        Some((method, target, body)) => route(method, target, body, hub),
-    };
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    );
-    stream.write_all(response.as_bytes())
-}
-
-/// Reads one request: headers, then as much body as `Content-Length`
-/// declares (bounded by the request cap).
-fn read_request(stream: &mut TcpStream) -> std::io::Result<String> {
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    loop {
-        if request_complete(&buf) || buf.len() >= MAX_REQUEST {
-            break;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                break
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(String::from_utf8_lossy(&buf).into_owned())
-}
-
-/// Headers terminated, and the declared body fully buffered.
-fn request_complete(buf: &[u8]) -> bool {
-    let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
-        return false;
-    };
-    let head = String::from_utf8_lossy(&buf[..head_end]);
-    let declared = head
-        .lines()
-        .find_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            name.eq_ignore_ascii_case("content-length")
-                .then(|| value.trim().parse::<usize>().ok())?
-        })
-        .unwrap_or(0);
-    buf.len() >= head_end + 4 + declared
-}
-
-/// `"POST /x HTTP/1.1\r\n...\r\n\r\nBODY"` →
-/// `("POST", "/x", "BODY")`. The target keeps its query string.
-fn parse_request(request: &str) -> Option<(&str, &str, &str)> {
-    let line = request.lines().next()?;
-    let mut parts = line.split_whitespace();
-    let method = parts.next()?;
-    let target = parts.next()?;
-    let body = request.split_once("\r\n\r\n").map_or("", |(_, body)| body);
-    Some((method, target, body))
-}
-
-fn err_json(msg: &str) -> String {
-    format!("{{\"error\":{}}}", json_str(msg))
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// `f64` as JSON: NaN (the concealment marker) and infinities become
-/// `null`, which is what a plotting frontend wants for a break.
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
+    /// Stops serving and waits for the requests in flight.
+    pub fn shutdown(self) {}
 }
 
 fn json_opt_u64(x: Option<u64>) -> String {
@@ -246,13 +90,13 @@ fn query_u64(query: &str, name: &str) -> Option<u64> {
 fn status_json(st: &crate::hub::SessionStatus) -> String {
     format!(
         concat!(
-            "{{\"id\":{},\"device\":{},\"state\":{},\"sample_rate_hz\":{},",
+            "{{\"id\":{},\"device\":{},\"state\":\"{}\",\"sample_rate_hz\":{},",
             "\"first_clock\":{},\"last_clock\":{},\"samples\":{},\"clean\":{},",
             "\"concealed\":{},\"flushed_records\":{},\"error\":{}}}"
         ),
         st.id,
         st.device,
-        json_str(st.state.as_str()),
+        json_escape(st.state.as_str()),
         json_f64(st.sample_rate_hz),
         json_opt_u64(st.first_clock),
         json_opt_u64(st.last_clock),
@@ -262,79 +106,74 @@ fn status_json(st: &crate::hub::SessionStatus) -> String {
         st.flushed_records,
         st.error
             .as_deref()
-            .map_or_else(|| "null".to_string(), json_str),
+            .map_or_else(|| "null".to_string(), |e| format!("\"{}\"", json_escape(e))),
     )
 }
 
-fn route(method: &str, target: &str, body: &str, hub: &MeasurementHub) -> (&'static str, String) {
-    let (path, query) = target.split_once('?').unwrap_or((target, ""));
-    match (method, path) {
-        ("POST", "/sessions/prepare") => match extract_u64(body, "device") {
+fn route(req: &Request, hub: &MeasurementHub) -> Response {
+    let method = req.method.as_str();
+    match (method, req.path.as_str()) {
+        ("POST", "/sessions/prepare") => match extract_u64(&req.body, "device") {
             Some(device) => {
                 let id = hub.prepare(device);
-                ("200 OK", format!("{{\"id\":{id}}}"))
+                Response::json("200 OK", format!("{{\"id\":{id}}}"))
             }
-            None => ("400 Bad Request", err_json("body must carry \"device\"")),
+            None => Response::error("400 Bad Request", "body must carry \"device\""),
         },
         ("GET", "/sessions") => {
-            let items: Vec<String> = hub.list().iter().map(status_json).collect();
-            ("200 OK", format!("[{}]", items.join(",")))
+            Response::json("200 OK", json_array(hub.list().iter().map(status_json)))
         }
         (_, path) => {
-            let Some(rest) = path.strip_prefix("/sessions/") else {
-                return ("404 Not Found", err_json("not found"));
-            };
-            let Some((id_str, action)) = rest.split_once('/') else {
-                return ("404 Not Found", err_json("not found"));
+            let Some((id_str, action)) = path
+                .strip_prefix("/sessions/")
+                .and_then(|rest| rest.split_once('/'))
+            else {
+                return Response::error("404 Not Found", "not found");
             };
             let Ok(id) = id_str.parse::<u64>() else {
-                return ("400 Bad Request", err_json("session id must be an integer"));
+                return Response::error("400 Bad Request", "session id must be an integer");
             };
             match (method, action) {
                 ("POST", "start") => lifecycle(hub.start(id)),
                 ("POST", "retry") => lifecycle(hub.retry(id)),
                 ("POST", "stop") => match hub.stop(id) {
-                    Ok(st) => ("200 OK", status_json(&st)),
-                    Err(e) => ("409 Conflict", err_json(&e)),
+                    Ok(st) => Response::json("200 OK", status_json(&st)),
+                    Err(e) => Response::error("409 Conflict", &e),
                 },
                 ("GET", "status") => match hub.status(id) {
-                    Some(st) => ("200 OK", status_json(&st)),
-                    None => ("404 Not Found", err_json("unknown session")),
+                    Some(st) => Response::json("200 OK", status_json(&st)),
+                    None => Response::error("404 Not Found", "unknown session"),
                 },
                 ("GET", "readings") => match hub.readings(id) {
-                    Some(readings) => {
-                        let items: Vec<String> = readings
-                            .iter()
-                            .map(|r| {
-                                format!(
-                                    "{{\"clock\":{},\"mmhg\":{},\"clean\":{}}}",
-                                    r.clock,
-                                    json_f64(r.mmhg),
-                                    r.clean,
-                                )
-                            })
-                            .collect();
-                        ("200 OK", format!("[{}]", items.join(",")))
-                    }
-                    None => ("404 Not Found", err_json("unknown session")),
+                    Some(readings) => Response::json(
+                        "200 OK",
+                        json_array(readings.iter().map(|r| {
+                            let mmhg = json_f64(r.mmhg);
+                            format!(
+                                "{{\"clock\":{},\"mmhg\":{mmhg},\"clean\":{}}}",
+                                r.clock, r.clean
+                            )
+                        })),
+                    ),
+                    None => Response::error("404 Not Found", "unknown session"),
                 },
-                ("GET", "waveform") => waveform(hub, id, query),
-                _ => ("404 Not Found", err_json("not found")),
+                ("GET", "waveform") => waveform(hub, id, &req.query),
+                _ => Response::error("404 Not Found", "not found"),
             }
         }
     }
 }
 
-fn lifecycle(result: Result<(), String>) -> (&'static str, String) {
+fn lifecycle(result: Result<(), String>) -> Response {
     match result {
-        Ok(()) => ("200 OK", "{\"ok\":true}".to_string()),
-        Err(e) => ("409 Conflict", err_json(&e)),
+        Ok(()) => Response::json("200 OK", "{\"ok\":true}"),
+        Err(e) => Response::error("409 Conflict", &e),
     }
 }
 
-fn waveform(hub: &MeasurementHub, id: u64, query: &str) -> (&'static str, String) {
+fn waveform(hub: &MeasurementHub, id: u64, query: &str) -> Response {
     let Some(st) = hub.status(id) else {
-        return ("404 Not Found", err_json("unknown session"));
+        return Response::error("404 Not Found", "unknown session");
     };
     let snap = hub.historian().snapshot();
     let span = snap.session_span(st.device, id);
@@ -349,24 +188,16 @@ fn waveform(hub: &MeasurementHub, id: u64, query: &str) -> (&'static str, String
     let reader = hub.historian().reader();
     match reader.read_range(st.device, id, from, to, max_points) {
         Ok(wave) => {
-            let points: Vec<String> = wave
-                .points
-                .iter()
-                .map(|p| {
-                    format!(
-                        "{{\"clock\":{},\"raw\":{},\"mmhg\":{}}}",
-                        p.clock,
-                        json_f64(p.raw),
-                        json_f64(p.mmhg),
-                    )
-                })
-                .collect();
-            (
+            let points = json_array(wave.points.iter().map(|p| {
+                let (raw, mmhg) = (json_f64(p.raw), json_f64(p.mmhg));
+                format!("{{\"clock\":{},\"raw\":{raw},\"mmhg\":{mmhg}}}", p.clock)
+            }));
+            Response::json(
                 "200 OK",
                 format!(
                     concat!(
                         "{{\"id\":{},\"device\":{},\"tier\":{},\"sample_rate_hz\":{},",
-                        "\"stride\":{},\"from\":{},\"to\":{},\"points\":[{}]}}"
+                        "\"stride\":{},\"from\":{},\"to\":{},\"points\":{}}}"
                     ),
                     id,
                     st.device,
@@ -375,11 +206,11 @@ fn waveform(hub: &MeasurementHub, id: u64, query: &str) -> (&'static str, String
                     wave.stride,
                     from,
                     to,
-                    points.join(","),
+                    points,
                 ),
             )
         }
-        Err(e) => ("500 Internal Server Error", err_json(&e.to_string())),
+        Err(e) => Response::error("500 Internal Server Error", &e.to_string()),
     }
 }
 
@@ -389,6 +220,10 @@ mod tests {
     use crate::hub::HubConfig;
     use crate::scratch_dir;
     use crate::store::{Historian, StoreConfig};
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::thread;
+    use std::time::{Duration, Instant};
     use tonos_link::{HostSample, IngestTap, SampleFlag, TapSession};
 
     fn request(addr: SocketAddr, method: &str, target: &str, body: &str) -> (String, String) {
@@ -473,6 +308,87 @@ mod tests {
 
         let (head, _) = request(addr, "GET", "/nope", "");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
+        api.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn api() -> (MeasurementHub, MeasurementApi, std::path::PathBuf) {
+        let dir = scratch_dir("api-hostile");
+        let t = Telemetry::disabled();
+        let (historian, _) = Historian::open(&dir, StoreConfig::default(), &t).unwrap();
+        let hub = MeasurementHub::new(historian, HubConfig::default(), &t);
+        let api = MeasurementApi::bind("127.0.0.1:0", hub.clone(), &t).unwrap();
+        (hub, api, dir)
+    }
+
+    #[test]
+    fn a_trickling_client_does_not_stall_session_polls() {
+        let (_hub, api, dir) = api();
+        let addr = api.local_addr();
+        // 30 bytes at 100 ms per byte, until the server hangs up. It
+        // connects first, so it is accepted before the poll below.
+        let mut slow = TcpStream::connect(addr).unwrap();
+        let slow_client = thread::spawn(move || {
+            for b in b"POST /sessions/prepare HTTP/1.1".iter().take(30) {
+                if slow.write_all(&[*b]).is_err() {
+                    break;
+                }
+                thread::sleep(Duration::from_millis(100));
+            }
+        });
+        let t = Instant::now();
+        let (head, body) = request(addr, "GET", "/sessions", "");
+        let took = t.elapsed();
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert_eq!(body, "[]");
+        assert!(
+            took < Duration::from_millis(100),
+            "GET /sessions took {took:?}"
+        );
+        api.shutdown();
+        slow_client.join().expect("slow client thread");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_huge_content_length_gets_413_and_the_api_stays_up() {
+        let (hub, api, dir) = api();
+        let addr = api.local_addr();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(
+                b"POST /sessions/prepare HTTP/1.1\r\n\
+                  Content-Length: 18446744073709551615\r\n\r\n{\"device\": 1}",
+            )
+            .unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 413"), "{response}");
+        assert!(hub.list().is_empty());
+
+        let (head, body) = request(addr, "GET", "/sessions", "");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert_eq!(body, "[]");
+        api.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_body_late_past_the_deadline_gets_408_and_prepares_nothing() {
+        let (hub, api, dir) = api();
+        let mut stream = TcpStream::connect(api.local_addr()).unwrap();
+        stream
+            .write_all(
+                b"POST /sessions/prepare HTTP/1.1\r\nContent-Length: 14\r\n\r\n{\"device\": 1",
+            )
+            .unwrap();
+        thread::sleep(Duration::from_millis(700));
+        // The rest of the body may land after the server has answered.
+        let _ = stream.write_all(b"2}");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 408"), "{response}");
+        assert!(hub.list().is_empty(), "{:?}", hub.list());
         api.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -22,8 +22,9 @@
 //!   picks the coarsest tier that fits the caller's point budget).
 //! * **A measurement-session service** ([`MeasurementHub`] +
 //!   [`MeasurementApi`]): the `prepare → start → poll-status → retry`
-//!   lifecycle a frontend polls, served std-only over HTTP in the
-//!   `tonos-scope` mould, with live readings and ranged waveform reads
+//!   lifecycle a frontend polls, served as routes on the shared
+//!   std-only [`HttpServer`](tonos_telemetry::http::HttpServer) that
+//!   `tonos-scope` also uses, with live readings and ranged waveform reads
 //!   answered from the store. The hub implements
 //!   [`tonos_link::IngestTap`], so plugging it into
 //!   [`LinkServer::bind_with_tap`](tonos_link::LinkServer::bind_with_tap)

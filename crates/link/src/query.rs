@@ -21,6 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use tonos_telemetry::{json_array, json_escape, json_f64};
+
 use crate::pipeline::LinkHealth;
 
 /// One connection's live state inside the [`LinkDirectory`].
@@ -126,7 +128,7 @@ impl LinkStatus {
             self.health.stream_resets,
             self.health.beats,
             self.health.alarms,
-            json_number(self.health.pulse_rate_bpm),
+            json_f64(self.health.pulse_rate_bpm),
         )
     }
 }
@@ -248,40 +250,7 @@ impl LinkDirectory {
 
     /// The `/links` payload: a JSON array of per-connection objects.
     pub fn to_json(&self) -> String {
-        let statuses = self.snapshot();
-        let mut out = String::with_capacity(64 + statuses.len() * 256);
-        out.push('[');
-        for (i, s) in statuses.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&s.to_json());
-        }
-        out.push(']');
-        out
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// JSON has no NaN/Infinity literals; non-finite values become `null`.
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+        json_array(self.snapshot().iter().map(LinkStatus::to_json))
     }
 }
 

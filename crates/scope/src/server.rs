@@ -1,7 +1,7 @@
-//! The exposition endpoint: a hand-rolled HTTP/1.1 server on
-//! `std::net` serving live telemetry to scrapers and operators.
+//! The exposition endpoint: live telemetry for scrapers and operators,
+//! served by the shared [`HttpServer`].
 //!
-//! Routes:
+//! Routes (`GET` only; any other method is `405`):
 //!
 //! * `GET /metrics` — the observed registry's snapshot in Prometheus
 //!   text exposition format 0.0.4 (via
@@ -15,35 +15,22 @@
 //!   JSON, mid-ingest included (empty array without a directory).
 //! * `GET /flight` — the attached [`FlightRecorder`]'s ring status.
 //!
-//! The server never mutates the observed registry: a scrape is a read.
-//! Connections are handled inline on the accept thread under short
-//! read/write timeouts — scrape payloads are small and the handler
-//! allocation-light, so a dedicated thread per scrape would buy
-//! nothing; the timeouts bound how long a stalled client can hold the
-//! loop. The same loop drives the flight recorder's
-//! [`maybe_tick`](FlightRecorder::maybe_tick), so attaching a recorder
-//! is all it takes to get periodic history capture.
+//! A scrape is a read: the server never mutates the observed registry.
+//! An attached recorder is ticked ([`FlightRecorder::maybe_tick`], every
+//! 2 ms) by a thread the [`ScopeServer`] owns and joins when it stops,
+//! so attaching one is all periodic capture takes and no client stalls it.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use tonos_link::LinkDirectory;
+use tonos_telemetry::http::{HttpServer, Request, Response};
 use tonos_telemetry::{prometheus_text, Registry};
 
 use crate::recorder::FlightRecorder;
-
-/// Accept-loop poll interval (also the recorder-tick granularity).
-const POLL: Duration = Duration::from_millis(2);
-
-/// How long a single scrape may stall on a slow client.
-const IO_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// Request size cap: a scrape request line + headers, nothing more.
-const MAX_REQUEST: usize = 4096;
 
 /// What the endpoint exposes: a registry (required) plus optional
 /// live-link directory and flight recorder.
@@ -72,7 +59,7 @@ impl ScopeSources {
         self
     }
 
-    /// Attaches a flight recorder; the accept loop drives its ticks.
+    /// Attaches a flight recorder; the server's tick thread drives it.
     #[must_use]
     pub fn with_recorder(mut self, recorder: Arc<Mutex<FlightRecorder>>) -> Self {
         self.recorder = Some(recorder);
@@ -89,178 +76,89 @@ impl std::fmt::Debug for ScopeSources {
     }
 }
 
-/// A running telemetry endpoint.
-///
-/// Bind with [`ScopeServer::bind`], learn the ephemeral port from
-/// [`ScopeServer::local_addr`], stop with [`ScopeServer::shutdown`].
+/// A running telemetry endpoint; stop it with [`ScopeServer::shutdown`]
+/// or by dropping it.
 #[derive(Debug)]
 pub struct ScopeServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    requests: Arc<AtomicU64>,
-    accept_thread: Option<JoinHandle<()>>,
+    http: HttpServer,
+    stop_ticks: Arc<AtomicBool>,
+    tick_thread: Option<JoinHandle<()>>,
 }
 
 impl ScopeServer {
-    /// Binds and starts serving. `addr` follows [`TcpListener::bind`]
-    /// conventions (`"127.0.0.1:0"` picks an ephemeral port).
+    /// Binds and starts serving; `"127.0.0.1:0"` picks an ephemeral port.
     ///
     /// # Errors
     ///
     /// Propagates bind/configuration I/O failures.
     pub fn bind(addr: &str, sources: ScopeSources) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let requests = Arc::new(AtomicU64::new(0));
-        let stop_accept = Arc::clone(&stop);
-        let req_accept = Arc::clone(&requests);
-        let accept_thread =
-            thread::spawn(move || accept_loop(&listener, &sources, &stop_accept, &req_accept));
+        let recorder = sources.recorder.clone();
+        let http = HttpServer::bind(addr, move |req| route(req, &sources))?;
+        let stop_ticks = Arc::new(AtomicBool::new(false));
+        let tick_thread = recorder.map(|recorder| {
+            let stop = Arc::clone(&stop_ticks);
+            thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    recorder
+                        .lock()
+                        .expect("flight recorder lock poisoned")
+                        .maybe_tick();
+                    thread::sleep(Duration::from_millis(2));
+                }
+            })
+        });
         Ok(ScopeServer {
-            addr: local,
-            stop,
-            requests,
-            accept_thread: Some(accept_thread),
+            http,
+            stop_ticks,
+            tick_thread,
         })
     }
 
     /// The bound address (with the resolved ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.http.local_addr()
     }
 
     /// Requests served so far (any route, errors included).
     pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::SeqCst)
+        self.http.requests()
     }
 
-    /// Stops the accept loop and joins it.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            handle.join().expect("scope accept thread never panics");
-        }
-    }
+    /// Stops serving and the recorder ticks, and joins both.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for ScopeServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
+        self.stop_ticks.store(true, Ordering::SeqCst);
+        if let Some(handle) = self.tick_thread.take() {
             let _ = handle.join();
         }
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    sources: &ScopeSources,
-    stop: &AtomicBool,
-    requests: &AtomicU64,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        if let Some(recorder) = &sources.recorder {
-            recorder
-                .lock()
-                .expect("flight recorder lock poisoned")
-                .maybe_tick();
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                requests.fetch_add(1, Ordering::SeqCst);
-                // Inline handling: scrapes are tiny; the timeouts bound
-                // how long a stalled client can hold the loop.
-                let _ = serve(stream, sources);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(POLL),
-            Err(_) => thread::sleep(POLL),
-        }
+/// Dispatches a request to its payload.
+fn route(req: &Request, sources: &ScopeSources) -> Response {
+    if req.method != "GET" {
+        return Response::error("405 Method Not Allowed", "method not allowed");
     }
-}
-
-/// Reads one request and writes one response; errors only on I/O.
-fn serve(mut stream: TcpStream, sources: &ScopeSources) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let request = read_request(&mut stream)?;
-    let (status, content_type, body) = match parse_request_line(&request) {
-        None => (
-            "400 Bad Request",
-            "application/json",
-            "{\"error\":\"malformed request\"}".to_string(),
-        ),
-        Some((method, _)) if method != "GET" => (
-            "405 Method Not Allowed",
-            "application/json",
-            "{\"error\":\"method not allowed\"}".to_string(),
-        ),
-        Some((_, path)) => route(path, sources),
+    let body = match req.path.as_str() {
+        "/metrics" => {
+            return Response {
+                status: "200 OK",
+                content_type: "text/plain; version=0.0.4",
+                body: metrics_body(sources),
+            }
+        }
+        "/health" => health_body(sources),
+        "/links" => sources
+            .directory
+            .as_deref()
+            .map_or("[]".into(), LinkDirectory::to_json),
+        "/flight" => flight_body(sources),
+        _ => return Response::error("404 Not Found", "not found"),
     };
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    );
-    stream.write_all(response.as_bytes())
-}
-
-/// Reads until the header terminator, EOF, timeout, or the size cap.
-fn read_request(stream: &mut TcpStream) -> std::io::Result<String> {
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.len() >= MAX_REQUEST {
-                    break;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                break
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(String::from_utf8_lossy(&buf).into_owned())
-}
-
-/// `"GET /metrics HTTP/1.1" → ("GET", "/metrics")`, query string
-/// stripped. `None` on anything that is not a two-token request line.
-fn parse_request_line(request: &str) -> Option<(&str, &str)> {
-    let line = request.lines().next()?;
-    let mut parts = line.split_whitespace();
-    let method = parts.next()?;
-    let target = parts.next()?;
-    let path = target.split('?').next().unwrap_or(target);
-    Some((method, path))
-}
-
-/// Dispatches a GET to its payload.
-fn route(path: &str, sources: &ScopeSources) -> (&'static str, &'static str, String) {
-    match path {
-        "/metrics" => ("200 OK", "text/plain; version=0.0.4", metrics_body(sources)),
-        "/health" => ("200 OK", "application/json", health_body(sources)),
-        "/links" => (
-            "200 OK",
-            "application/json",
-            sources
-                .directory
-                .as_ref()
-                .map_or_else(|| "[]".to_string(), |d| d.to_json()),
-        ),
-        "/flight" => ("200 OK", "application/json", flight_body(sources)),
-        _ => (
-            "404 Not Found",
-            "application/json",
-            "{\"error\":\"not found\"}".to_string(),
-        ),
-    }
+    Response::json("200 OK", body)
 }
 
 /// The registry exposition, plus live link gauges when a directory is
@@ -413,6 +311,9 @@ fn flight_body(sources: &ScopeSources) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::time::Instant;
 
     fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).expect("connect to scope server");
@@ -425,18 +326,18 @@ mod tests {
         (head.to_string(), body.to_string())
     }
 
-    #[test]
-    fn request_line_parsing() {
-        assert_eq!(
-            parse_request_line("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n"),
-            Some(("GET", "/metrics"))
-        );
-        assert_eq!(
-            parse_request_line("GET /links?live=1 HTTP/1.1\r\n\r\n"),
-            Some(("GET", "/links"))
-        );
-        assert_eq!(parse_request_line(""), None);
-        assert_eq!(parse_request_line("GET"), None);
+    /// A client that sends a request one byte per 100 ms (30 bytes,
+    /// about 3 s) until the server hangs up on it.
+    fn trickle(addr: SocketAddr) -> JoinHandle<()> {
+        let mut stream = TcpStream::connect(addr).expect("connect to scope server");
+        thread::spawn(move || {
+            for b in b"GET /health HTTP/1.1\r\nHost: slow".iter().take(30) {
+                if stream.write_all(&[*b]).is_err() {
+                    break;
+                }
+                thread::sleep(Duration::from_millis(100));
+            }
+        })
     }
 
     #[test]
@@ -494,7 +395,25 @@ mod tests {
     }
 
     #[test]
-    fn accept_loop_drives_the_recorder() {
+    fn a_trickling_client_does_not_stall_other_requests() {
+        let server =
+            ScopeServer::bind("127.0.0.1:0", ScopeSources::registry(Registry::new())).unwrap();
+        let addr = server.local_addr();
+        let slow_client = trickle(addr);
+        while server.requests() == 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let t = Instant::now();
+        let (head, _) = http_get(addr, "/health");
+        let took = t.elapsed();
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "head: {head}");
+        assert!(took < Duration::from_millis(100), "/health took {took:?}");
+        server.shutdown();
+        slow_client.join().expect("slow client thread");
+    }
+
+    #[test]
+    fn recorder_ticks_while_a_client_trickles() {
         let registry = Registry::new(); // real clock: ticks are time-driven
         let recorder = Arc::new(Mutex::new(FlightRecorder::new(
             registry.clone(),
@@ -508,15 +427,22 @@ mod tests {
             ScopeSources::registry(registry).with_recorder(Arc::clone(&recorder)),
         )
         .unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let slow_client = trickle(server.local_addr());
+        while server.requests() == 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let start = recorder.lock().unwrap().ticks();
+        // Well inside the slow client's request deadline, so the ticks
+        // below all land while it holds its connection.
+        let deadline = Instant::now() + Duration::from_millis(300);
         loop {
-            let ticks = recorder.lock().unwrap().ticks();
+            let ticks = recorder.lock().unwrap().ticks() - start;
             if ticks >= 3 {
                 break;
             }
             assert!(
-                std::time::Instant::now() < deadline,
-                "recorder never ticked (got {ticks})"
+                Instant::now() < deadline,
+                "recorder stalled behind the slow client (got {ticks} ticks)"
             );
             thread::sleep(Duration::from_millis(5));
         }
@@ -524,5 +450,6 @@ mod tests {
         assert!(body.starts_with("{\"enabled\":true"), "body: {body}");
         assert!(body.contains("\"capacity\":200"));
         server.shutdown();
+        slow_client.join().expect("slow client thread");
     }
 }

@@ -18,6 +18,9 @@
 //! * [`Registry`] — owns everything, aggregates it into a serializable
 //!   [`TelemetrySnapshot`] (hand-rolled JSON + CSV), and summarizes
 //!   cross-stage health via [`Registry::health`].
+//! * [`http`] — the one HTTP server every endpoint runs on, with
+//!   [`json_escape`] / [`json_f64`] / [`json_array`] for the JSON its
+//!   routes write.
 //!
 //! # Opt-in, near-zero cost when off
 //!
@@ -50,6 +53,7 @@
 pub mod clock;
 pub mod expose;
 pub mod histogram;
+pub mod http;
 pub mod instrument;
 pub mod journal;
 pub mod registry;
@@ -63,4 +67,5 @@ pub use instrument::{Counter, Gauge, Histogram, SpanGuard, SpanTimer};
 pub use journal::{Event, Journal, Severity};
 pub use registry::{names, HealthReport, Registry, StageTiming, Telemetry};
 pub use rollup::Rollup;
+pub use snapshot::{json_array, json_escape, json_f64};
 pub use snapshot::{BucketCount, CounterValue, GaugeValue, HistogramSummary, TelemetrySnapshot};
