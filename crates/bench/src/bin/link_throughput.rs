@@ -7,9 +7,12 @@
 //! 1. Frame codec throughput: encode and decode frames/s and payload
 //!    Mbit/s for paper-sized bitstream frames.
 //! 2. End-to-end host pipeline (decode + gap tracking + decimation)
-//!    Mbit/s, against the bare decimator as the in-run baseline.
+//!    Mbit/s, against the bare decimator as the in-run baseline; the
+//!    two legs alternate rep by rep and the gate reads the median of the
+//!    per-pair ratios, so host drift between legs cancels.
 //! 3. Loopback TCP ingest: sessions/s at N ∈ {1, 4, 8} concurrent
-//!    device streams, each checked against the in-process signal path.
+//!    device streams, each checked against the in-process signal path;
+//!    the clock stops once the server has decoded every frame sent.
 //!
 //! Exits nonzero if the fault-free wire path diverges from the
 //! in-process path, if any loopback session fails, or if framing
@@ -87,14 +90,32 @@ fn decode_rates(reps: usize, frames: usize, wire: &[u8]) -> (f64, f64) {
     (frames as f64 / secs, bits / secs / 1e6)
 }
 
-/// Full host pipeline (decode + gap tracking + decimate) Mbit/s, and
-/// the bare decimator on the identical payload as the in-run baseline.
-fn pipeline_vs_bare_mbps(reps: usize, frames: usize, wire: &[u8]) -> (f64, f64) {
+/// Wall-clock seconds of one run of `f`.
+fn time_once(f: &mut impl FnMut()) -> f64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_secs_f64()
+}
+
+/// The middle value (upper middle for an even count).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// Full host pipeline (decode + gap tracking + decimate) against the
+/// bare decimator on the identical payload, as the in-run baseline.
+///
+/// The two legs run alternately, one rep of each per pair, so host
+/// drift hits both legs of a pair alike. Returns each leg's best Mbit/s
+/// and the median over pairs of the per-pair wire/bare ratio, the
+/// figure the framing-overhead gate reads.
+fn pipeline_vs_bare(pairs: usize, frames: usize, wire: &[u8]) -> (f64, f64, f64) {
     let chunks = test_frames(frames);
     let bits = (frames * FRAME_BITS) as f64;
 
     let mut samples = Vec::new();
-    let pipe_secs = best_of(reps, || {
+    let mut pipeline = || {
         samples.clear();
         let mut pipe = HostPipeline::new(
             &DecimatorConfig::paper_default(),
@@ -104,17 +125,25 @@ fn pipeline_vs_bare_mbps(reps: usize, frames: usize, wire: &[u8]) -> (f64, f64) 
         .unwrap();
         pipe.push_bytes(wire, &mut samples);
         assert_eq!(samples.len(), frames * FRAME_BITS / 128);
-    });
-
+    };
     let mut out = Vec::new();
-    let bare_secs = best_of(reps, || {
+    let mut bare = || {
         out.clear();
         let mut dec = DecimatorConfig::paper_default().build().unwrap();
         for c in &chunks {
             dec.process_packed_into(c, &mut out);
         }
         assert_eq!(out.len(), frames * FRAME_BITS / 128);
-    });
+    };
+    let (mut pipe_best, mut bare_best) = (f64::INFINITY, f64::INFINITY);
+    let mut ratios = Vec::with_capacity(pairs);
+    for _ in 0..pairs {
+        let pipe_secs = time_once(&mut pipeline);
+        let bare_secs = time_once(&mut bare);
+        pipe_best = pipe_best.min(pipe_secs);
+        bare_best = bare_best.min(bare_secs);
+        ratios.push(bare_secs / pipe_secs);
+    }
 
     // Fault-free equivalence: the hard correctness gate.
     for (w, d) in samples.iter().zip(&out) {
@@ -124,7 +153,11 @@ fn pipeline_vs_bare_mbps(reps: usize, frames: usize, wire: &[u8]) -> (f64, f64) 
             "wire path diverged from the in-process path"
         );
     }
-    (bits / pipe_secs / 1e6, bits / bare_secs / 1e6)
+    (
+        bits / pipe_best / 1e6,
+        bits / bare_best / 1e6,
+        median(ratios),
+    )
 }
 
 /// Loopback TCP ingest: N concurrent device sessions of `duration_s`
@@ -158,10 +191,14 @@ fn loopback_sessions_per_s(n: usize, duration_s: f64) -> f64 {
         })
         .collect();
     let frames_sent: u64 = clients.into_iter().map(|c| c.join().unwrap()).sum();
-    while server.connections() < n {
-        thread::sleep(Duration::from_millis(5));
+    // Stop the clock once the server has decoded every frame sent, not
+    // after a fixed grace period; the deadline only bounds a broken run,
+    // which the frame-count assertion below then reports.
+    let directory = server.directory();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while directory.aggregate().frames < frames_sent && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(1));
     }
-    thread::sleep(Duration::from_millis(200));
     let (report, snapshot) = server.shutdown();
     let wall = t.elapsed().as_secs_f64();
 
@@ -284,9 +321,11 @@ fn main() {
     let (enc_fps, enc_mbps, wire) = encode_rates(reps, codec_frames);
     let (dec_fps, dec_mbps) = decode_rates(reps, codec_frames, &wire);
     eprintln!("  codec: encode {enc_fps:.0} frames/s ({enc_mbps:.1} Mbit/s), decode {dec_fps:.0} frames/s ({dec_mbps:.1} Mbit/s)");
-    let (pipe_mbps, bare_mbps) = pipeline_vs_bare_mbps(reps, codec_frames, &wire);
-    let overhead_ratio = pipe_mbps / bare_mbps;
-    eprintln!("  host pipeline: {pipe_mbps:.1} Mbit/s vs bare decimator {bare_mbps:.1} Mbit/s ({overhead_ratio:.2}x)");
+    // A pair is a few milliseconds, so take more pairs than reps: the
+    // median then sheds the pairs a noisy neighbour landed on.
+    let ratio_pairs = 3 * reps;
+    let (pipe_mbps, bare_mbps, overhead_ratio) = pipeline_vs_bare(ratio_pairs, codec_frames, &wire);
+    eprintln!("  host pipeline: {pipe_mbps:.1} Mbit/s vs bare decimator {bare_mbps:.1} Mbit/s (median pair ratio {overhead_ratio:.2}x over {ratio_pairs} pairs)");
 
     let session_counts = [1usize, 4, 8];
     let mut loopback = Vec::with_capacity(session_counts.len());
@@ -324,7 +363,8 @@ fn main() {
     println!("  \"host_pipeline\": {{");
     println!("    \"wire_path_mbit_per_s\": {pipe_mbps:.2},");
     println!("    \"bare_decimator_mbit_per_s\": {bare_mbps:.2},");
-    println!("    \"wire_over_bare_ratio\": {overhead_ratio:.3}");
+    println!("    \"wire_over_bare_ratio\": {overhead_ratio:.3},");
+    println!("    \"wire_over_bare_pairs\": {ratio_pairs}");
     println!("  }},");
     println!("  \"loopback_tcp\": {{");
     println!("    \"session_duration_s\": {duration_s},");
@@ -347,7 +387,7 @@ fn main() {
     println!("    ]");
     println!("  }},");
     println!(
-        "  \"gate\": \"fault-free wire path bit-identical to in-process; all loopback sessions complete with zero CRC failures; wire/bare decimation ratio >= 0.5; ingest-sweep IO-thread count constant (=1) across N in {{64,256,1024}}\""
+        "  \"gate\": \"fault-free wire path bit-identical to in-process; all loopback sessions complete with zero CRC failures; median per-pair wire/bare decimation ratio >= 0.5; ingest-sweep IO-thread count constant (=1) across N in {{64,256,1024}}\""
     );
     println!("}}");
 
@@ -356,8 +396,8 @@ fn main() {
     // hard asserts above — reaching here means they already passed.)
     if overhead_ratio < 0.5 {
         eprintln!(
-            "FAIL: host pipeline at {pipe_mbps:.1} Mbit/s is {overhead_ratio:.2}x the bare \
-             decimator ({bare_mbps:.1} Mbit/s); the framing-overhead gate is 0.5x"
+            "FAIL: host pipeline at {pipe_mbps:.1} Mbit/s runs at a median {overhead_ratio:.2}x \
+             the bare decimator ({bare_mbps:.1} Mbit/s) per pair; the framing-overhead gate is 0.5x"
         );
         std::process::exit(1);
     }

@@ -420,36 +420,10 @@ impl Frame {
     /// [`ParseOutcome::Corrupt`] so streaming decoders can advance one
     /// byte and rescan.
     pub fn parse(buf: &[u8]) -> ParseOutcome {
-        if buf.len() < SYNC.len() {
-            return if SYNC.starts_with(buf) {
-                ParseOutcome::NeedMore
-            } else {
-                ParseOutcome::Corrupt {
-                    reason: CorruptReason::Sync,
-                }
-            };
-        }
-        if buf[..SYNC.len()] != SYNC {
-            return ParseOutcome::Corrupt {
-                reason: CorruptReason::Sync,
-            };
-        }
-        if buf.len() < HEADER_LEN {
-            return ParseOutcome::NeedMore;
-        }
-        if buf[4] >> 4 != VERSION {
-            return ParseOutcome::Corrupt {
-                reason: CorruptReason::Version,
-            };
-        }
-        let payload_bits = u32::from_le_bytes(buf[19..23].try_into().expect("4 bytes"));
-        if payload_bits > MAX_PAYLOAD_BITS {
-            return ParseOutcome::Corrupt {
-                reason: CorruptReason::Length,
-            };
-        }
-        let payload_len = (payload_bits as usize).div_ceil(8);
-        let total = HEADER_LEN + payload_len + CRC_LEN;
+        let total = match Self::check_header(buf) {
+            Ok(total) => total,
+            Err(outcome) => return outcome,
+        };
         if buf.len() < total {
             return ParseOutcome::NeedMore;
         }
@@ -460,6 +434,8 @@ impl Frame {
                 reason: CorruptReason::Crc,
             };
         }
+        let payload_bits = u32::from_le_bytes(buf[19..23].try_into().expect("4 bytes"));
+        let payload_len = total - HEADER_LEN - CRC_LEN;
         let frame = Frame {
             kind: buf[4] & 0x0F,
             element: u16::from_le_bytes(buf[5..7].try_into().expect("2 bytes")),
@@ -472,6 +448,50 @@ impl Frame {
             frame,
             consumed: total,
         }
+    }
+
+    /// Total encoded length the candidate at the start of `buf` declares,
+    /// once its header is buffered and its sync word, version and length
+    /// field are valid; `None` otherwise. [`Frame::parse`] makes the same
+    /// header checks, so a candidate with a declared length is one that
+    /// `parse` answers with [`ParseOutcome::NeedMore`] until `buf` holds
+    /// that many bytes.
+    pub fn declared_len(buf: &[u8]) -> Option<usize> {
+        Self::check_header(buf).ok()
+    }
+
+    /// The header checks of [`Frame::parse`]: the declared total length,
+    /// or the outcome to return before any CRC is computed.
+    fn check_header(buf: &[u8]) -> Result<usize, ParseOutcome> {
+        if buf.len() < SYNC.len() {
+            return Err(if SYNC.starts_with(buf) {
+                ParseOutcome::NeedMore
+            } else {
+                ParseOutcome::Corrupt {
+                    reason: CorruptReason::Sync,
+                }
+            });
+        }
+        if buf[..SYNC.len()] != SYNC {
+            return Err(ParseOutcome::Corrupt {
+                reason: CorruptReason::Sync,
+            });
+        }
+        if buf.len() < HEADER_LEN {
+            return Err(ParseOutcome::NeedMore);
+        }
+        if buf[4] >> 4 != VERSION {
+            return Err(ParseOutcome::Corrupt {
+                reason: CorruptReason::Version,
+            });
+        }
+        let payload_bits = u32::from_le_bytes(buf[19..23].try_into().expect("4 bytes"));
+        if payload_bits > MAX_PAYLOAD_BITS {
+            return Err(ParseOutcome::Corrupt {
+                reason: CorruptReason::Length,
+            });
+        }
+        Ok(HEADER_LEN + (payload_bits as usize).div_ceil(8) + CRC_LEN)
     }
 }
 
@@ -565,6 +585,25 @@ mod tests {
                 matches!(outcome, ParseOutcome::Corrupt { .. }),
                 "flip at {i}: {outcome:?}"
             );
+        }
+    }
+
+    #[test]
+    fn declared_len_is_known_exactly_when_parse_waits_for_the_body() {
+        let good = Frame::bitstream(1, 2, 3, &sample_bits(100))
+            .unwrap()
+            .encode();
+        for cut in 0..good.len() {
+            let declared = Frame::declared_len(&good[..cut]);
+            assert_eq!(declared.is_some(), cut >= HEADER_LEN, "cut at {cut}");
+            assert_eq!(Frame::parse(&good[..cut]), ParseOutcome::NeedMore);
+        }
+        assert_eq!(Frame::declared_len(&good), Some(good.len()));
+        for (at, flip) in [(0, 0xFF), (4, 0xF0), (22, 0xFF)] {
+            let mut bad = good.clone();
+            bad[at] ^= flip;
+            assert!(matches!(Frame::parse(&bad), ParseOutcome::Corrupt { .. }));
+            assert_eq!(Frame::declared_len(&bad), None, "flip at {at}");
         }
     }
 

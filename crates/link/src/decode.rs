@@ -8,14 +8,22 @@
 //! * A damaged frame never comes out as a [`LinkEvent::Frame`]; the
 //!   CRC rejects it and the decoder scans forward to the next sync
 //!   word (**resync**).
+//! * A damaged length field never stalls the stream: a candidate whose
+//!   declared extent wholly contains a CRC-valid frame is rejected as
+//!   soon as that inner frame is buffered, not after the declared bytes
+//!   arrive (legitimate senders never nest frames).
 //! * A missing frame never goes unnoticed; the sequence number jump is
 //!   reported as a [`LinkEvent::Gap`] carrying the number of lost
 //!   modulator clocks (from the clock-index headers), which is what
 //!   the pipeline's gap concealment consumes.
 //! * A duplicated or reordered-stale frame is dropped, not replayed.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
 use tonos_dsp::frame::{
-    is_control_kind, CorruptReason, Frame, Nak, ParseOutcome, SeqRange, NAK_MAX_RANGES, SYNC,
+    is_control_kind, CorruptReason, Frame, Nak, ParseOutcome, SeqRange, CRC_LEN, HEADER_LEN,
+    NAK_MAX_RANGES, SYNC,
 };
 use tonos_telemetry::{names, Counter, Telemetry};
 
@@ -26,6 +34,10 @@ const COMPACT_THRESHOLD: usize = 16 * 1024;
 /// Hard ceiling on the reorder window so the pending buffer stays
 /// small; windows are typically 16–64 frames.
 pub const MAX_REORDER_WINDOW: u32 = 1024;
+
+/// Size of the smallest frame (empty payload): no frame can start
+/// closer than this to the end of the extent that must contain it.
+const MIN_FRAME_LEN: usize = HEADER_LEN + CRC_LEN;
 
 /// What the decoder tells the layer above.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,6 +71,10 @@ pub struct DecoderStats {
     pub frames: u64,
     /// CRC check failures (includes false syncs found while scanning).
     pub crc_failures: u64,
+    /// Candidate frames rejected for their length field: above
+    /// `MAX_PAYLOAD_BITS`, or declaring an extent that wholly contains
+    /// a CRC-valid frame. Neither shows as a CRC failure.
+    pub length_rejects: u64,
     /// Times the decoder lost framing and had to scan for sync.
     pub resyncs: u64,
     /// Sequence-gap events reported.
@@ -108,6 +124,9 @@ pub struct FrameDecoder {
     /// until the first frame of the stream arrives.
     expect: Option<(u32, u64)>,
     in_resync: bool,
+    /// Nested-frame search over the extents declared by the candidates
+    /// at `pos`, kept across candidates so no byte is rescanned.
+    scan: InteriorScan,
     /// Reorder window in frames; 0 disables the reorder buffer (every
     /// forward seq jump becomes an immediate gap, as in PR 5).
     reorder_window: u32,
@@ -124,6 +143,7 @@ pub struct FrameDecoder {
     frames_rx: Counter,
     bytes_rx: Counter,
     crc_fail: Counter,
+    length_rejects: Counter,
     resyncs: Counter,
     gap_events: Counter,
     gap_frames: Counter,
@@ -147,6 +167,7 @@ impl FrameDecoder {
             pos: 0,
             expect: None,
             in_resync: false,
+            scan: InteriorScan::new(),
             reorder_window: 0,
             pending: Vec::new(),
             nak_sent: Vec::new(),
@@ -155,6 +176,7 @@ impl FrameDecoder {
             frames_rx: Counter::disabled(),
             bytes_rx: Counter::disabled(),
             crc_fail: Counter::disabled(),
+            length_rejects: Counter::disabled(),
             resyncs: Counter::disabled(),
             gap_events: Counter::disabled(),
             gap_frames: Counter::disabled(),
@@ -182,12 +204,14 @@ impl FrameDecoder {
     }
 
     /// Reports receive-side counters (`link.frames_rx`, `link.crc_fail`,
-    /// `link.resyncs`, `link.gap_events`, ...) into the given registry.
+    /// `link.length_rejects`, `link.resyncs`, `link.gap_events`, ...)
+    /// into the given registry.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
         self.frames_rx = telemetry.counter(names::LINK_FRAMES_RX);
         self.bytes_rx = telemetry.counter(names::LINK_BYTES_RX);
         self.crc_fail = telemetry.counter(names::LINK_CRC_FAIL);
+        self.length_rejects = telemetry.counter(names::LINK_LENGTH_REJECTS);
         self.resyncs = telemetry.counter(names::LINK_RESYNCS);
         self.gap_events = telemetry.counter(names::LINK_GAP_EVENTS);
         self.gap_frames = telemetry.counter(names::LINK_GAP_FRAMES);
@@ -215,7 +239,10 @@ impl FrameDecoder {
     ///
     /// Any split of the byte stream decodes identically: the decoder
     /// buffers partial frames internally and is insensitive to where
-    /// the transport fragments its reads.
+    /// the transport fragments its reads. (The one exception, a
+    /// CRC-valid frame whose extent nests another CRC-valid frame, is
+    /// accepted whole or rejected by length depending on which is
+    /// buffered first; no encoder produces it.)
     pub fn push(&mut self, bytes: &[u8], events: &mut Vec<LinkEvent>) {
         self.stats.bytes += bytes.len() as u64;
         self.buf.extend_from_slice(bytes);
@@ -224,7 +251,21 @@ impl FrameDecoder {
             if window.is_empty() {
                 break;
             }
-            match Frame::parse(window) {
+            // A candidate whose declared extent holds a verified frame
+            // is lying about its length. An unfinished one is rejected as
+            // soon as such a frame is buffered; a finished one whose CRC
+            // fails is rejected by length too, so the counter it lands in
+            // does not depend on how the bytes were split.
+            let outcome = match Frame::parse(window) {
+                ParseOutcome::NeedMore
+                | ParseOutcome::Corrupt {
+                    reason: CorruptReason::Crc,
+                } if self.nests_frame() => ParseOutcome::Corrupt {
+                    reason: CorruptReason::Length,
+                },
+                outcome => outcome,
+            };
+            match outcome {
                 ParseOutcome::NeedMore => break,
                 ParseOutcome::Parsed { frame, consumed } => {
                     self.pos += consumed;
@@ -236,8 +277,10 @@ impl FrameDecoder {
                         self.in_resync = true;
                         self.stats.resyncs += 1;
                     }
-                    if reason == CorruptReason::Crc {
-                        self.stats.crc_failures += 1;
+                    match reason {
+                        CorruptReason::Crc => self.stats.crc_failures += 1,
+                        CorruptReason::Length => self.stats.length_rejects += 1,
+                        CorruptReason::Sync | CorruptReason::Version => {}
                     }
                     // Scan forward to the next candidate sync byte,
                     // at least one byte ahead of the rejected start.
@@ -253,6 +296,7 @@ impl FrameDecoder {
         // Reclaim the consumed prefix once it is worth a memmove.
         if self.pos >= COMPACT_THRESHOLD {
             self.buf.drain(..self.pos);
+            self.scan.rebase(self.pos);
             self.pos = 0;
         }
         // Batched telemetry flush: one atomic add per counter per chunk
@@ -264,6 +308,8 @@ impl FrameDecoder {
         self.bytes_rx.add(self.stats.bytes - self.flushed.bytes);
         self.crc_fail
             .add(self.stats.crc_failures - self.flushed.crc_failures);
+        self.length_rejects
+            .add(self.stats.length_rejects - self.flushed.length_rejects);
         self.resyncs.add(self.stats.resyncs - self.flushed.resyncs);
         self.gap_events
             .add(self.stats.gap_events - self.flushed.gap_events);
@@ -278,6 +324,13 @@ impl FrameDecoder {
         self.control
             .add(self.stats.control_frames - self.flushed.control_frames);
         self.flushed = self.stats;
+    }
+
+    /// Whether the candidate at `pos` declares an extent that wholly
+    /// contains a CRC-valid frame, among the bytes buffered so far.
+    fn nests_frame(&mut self) -> bool {
+        Frame::declared_len(&self.buf[self.pos..])
+            .is_some_and(|total| self.scan.finds_frame(&self.buf, self.pos, total))
     }
 
     /// Reports the sequence ranges currently missing inside the reorder
@@ -466,11 +519,131 @@ impl FrameDecoder {
     }
 }
 
+/// Incremental search for a CRC-valid frame nested inside the extent a
+/// head candidate declares. Offsets index the decoder's buffer.
+///
+/// The state outlives each head, since a rejected head is followed by
+/// one a few bytes on whose extent overlaps it. The cursor passes every
+/// start offset once per stream. A start that declares a frame is
+/// CRC-checked at most once, as soon as its bytes are buffered and it
+/// lies inside the current head's extent; until then it waits in
+/// `waiting`, and a verified one stays there for the heads that follow.
+/// So the work is linear in the bytes and candidates seen, whether a
+/// legitimate frame is dribbled in a byte at a time or a hostile block
+/// packs thousands of overlapping headers.
+#[derive(Debug, Clone)]
+struct InteriorScan {
+    /// First start offset not yet examined.
+    next: usize,
+    /// Inner candidates as `(end, start, verified)`, earliest end on top:
+    /// unchecked ones (bytes missing, or beyond every extent so far) and
+    /// verified frames.
+    waiting: BinaryHeap<Reverse<(usize, usize, bool)>>,
+    /// Inner candidates CRC-checked so far.
+    #[cfg(test)]
+    crc_checks: usize,
+}
+
+impl InteriorScan {
+    fn new() -> Self {
+        InteriorScan {
+            next: 0,
+            waiting: BinaryHeap::new(),
+            #[cfg(test)]
+            crc_checks: 0,
+        }
+    }
+
+    /// Shifts the offsets after the decoder drops its first `by` bytes.
+    /// Starts up to `by` lie at or before the current head and can never
+    /// be nested in a later one.
+    fn rebase(&mut self, by: usize) {
+        self.next = self.next.saturating_sub(by);
+        self.waiting = self
+            .waiting
+            .drain()
+            .filter(|&Reverse((_, start, _))| start > by)
+            .map(|Reverse((end, start, ok))| Reverse((end - by, start - by, ok)))
+            .collect();
+    }
+
+    /// Whether a complete, CRC-valid frame lies wholly inside
+    /// `buf[head..head + total]`, looking only at what is buffered.
+    /// Heads passed in must never move backwards.
+    fn finds_frame(&mut self, buf: &[u8], head: usize, total: usize) -> bool {
+        let limit = buf.len().min(head + total);
+        while let Some(mut top) = self.waiting.peek_mut() {
+            let Reverse((end, start, verified)) = *top;
+            if end > limit {
+                break;
+            }
+            if start > head {
+                if verified {
+                    return true;
+                }
+                #[cfg(test)]
+                {
+                    self.crc_checks += 1;
+                }
+                if is_frame(&buf[start..end]) {
+                    top.0 .2 = true;
+                    return true;
+                }
+            }
+            PeekMut::pop(top);
+        }
+        // Starts past `total - MIN_FRAME_LEN` cannot fit a whole frame;
+        // starts whose header is not yet buffered wait for more bytes.
+        self.next = self.next.max(head + 1);
+        let stop =
+            (head + total + 1 - MIN_FRAME_LEN).min((buf.len() + 1).saturating_sub(HEADER_LEN));
+        while self.next < stop {
+            let Some(start) = find_sync(buf, self.next, stop) else {
+                break;
+            };
+            self.next = start + 1;
+            let Some(len) = Frame::declared_len(&buf[start..]) else {
+                continue;
+            };
+            let end = start + len;
+            if end > limit {
+                self.waiting.push(Reverse((end, start, false)));
+                continue;
+            }
+            #[cfg(test)]
+            {
+                self.crc_checks += 1;
+            }
+            if is_frame(&buf[start..end]) {
+                self.waiting.push(Reverse((end, start, true)));
+                return true;
+            }
+        }
+        self.next = self.next.max(stop);
+        false
+    }
+}
+
+/// Whether `bytes` is exactly one CRC-valid frame.
+fn is_frame(bytes: &[u8]) -> bool {
+    matches!(Frame::parse(bytes), ParseOutcome::Parsed { consumed, .. } if consumed == bytes.len())
+}
+
+/// First `i` in `from..to` where `hay[i..i + 4]` is the sync word;
+/// needs `to + 3 <= hay.len()`.
+fn find_sync(hay: &[u8], from: usize, to: usize) -> Option<usize> {
+    hay[from..to + SYNC.len() - 1]
+        .windows(SYNC.len())
+        .position(|w| w == SYNC)
+        .map(|i| from + i)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encode::FrameEncoder;
     use tonos_dsp::bits::PackedBits;
+    use tonos_dsp::frame::MAX_PAYLOAD_BITS;
 
     fn chunk(n: usize, phase: usize) -> PackedBits {
         (0..n).map(|i| (i + phase).is_multiple_of(3)).collect()
@@ -700,5 +873,144 @@ mod tests {
             .filter(|e| matches!(e, LinkEvent::Control(_)))
             .count();
         assert_eq!(controls, 2);
+    }
+
+    /// Overwrites the payload-length field of the frame starting at
+    /// `start` with `bits` (the CRC no longer matches, as on the wire).
+    fn lie_about_length(wire: &mut [u8], start: usize, bits: u32) {
+        wire[start + 19..start + 23].copy_from_slice(&bits.to_le_bytes());
+    }
+
+    #[test]
+    fn lying_length_releases_the_next_frame_once_its_bytes_arrive() {
+        let chunks: Vec<PackedBits> = (0..4).map(|i| chunk(128, i)).collect();
+        let (mut wire, bounds) = encode_stream(&chunks);
+        // Frame 1 now claims ~25 KiB, far past the end of the stream.
+        lie_about_length(&mut wire, bounds[0], 200_000);
+
+        let mut dec = FrameDecoder::new();
+        let mut events = Vec::new();
+        // Everything short of frame 2's last byte: frame 0 only.
+        dec.push(&wire[..bounds[2] - 1], &mut events);
+        assert_eq!(delivered_seqs(&events), vec![0]);
+        // Frame 2's last byte: the lying head is rejected and frame 2
+        // comes out, without waiting for the declared 25 KiB.
+        dec.push(&wire[bounds[2] - 1..bounds[2]], &mut events);
+        assert_eq!(delivered_seqs(&events), vec![0, 2]);
+        assert!(matches!(
+            events[1],
+            LinkEvent::Gap {
+                expected_seq: 1,
+                got_seq: 2,
+                lost_frames: 1,
+                ..
+            }
+        ));
+        dec.push(&wire[bounds[2]..], &mut events);
+        assert_eq!(delivered_seqs(&events), vec![0, 2, 3]);
+        let stats = dec.stats();
+        assert_eq!(stats.length_rejects, 1);
+        assert_eq!(stats.crc_failures, 0);
+        assert_eq!(stats.resyncs, 1);
+        assert_eq!(dec.buffered(), 0);
+    }
+
+    #[test]
+    fn nested_frame_rejects_a_complete_head_by_length() {
+        let chunks: Vec<PackedBits> = (0..3).map(|i| chunk(64, i)).collect();
+        let (mut wire, bounds) = encode_stream(&chunks);
+        // Frame 0 claims to run to the end of frame 1: a one-shot decode
+        // (CRC fails first) and a byte-at-a-time one (frame 1 turns up
+        // first) both reject it by length.
+        let bits = ((bounds[1] - HEADER_LEN - CRC_LEN) * 8) as u32;
+        lie_about_length(&mut wire, 0, bits);
+        let mut one = Vec::new();
+        let mut dec = FrameDecoder::new();
+        dec.push(&wire, &mut one);
+        assert_eq!(delivered_seqs(&one), vec![1, 2]);
+        assert_eq!(dec.stats().length_rejects, 1);
+        assert_eq!(dec.stats().crc_failures, 0);
+
+        let mut split = Vec::new();
+        let mut dribbled = FrameDecoder::new();
+        for b in &wire {
+            dribbled.push(std::slice::from_ref(b), &mut split);
+        }
+        assert_eq!(one, split);
+        assert_eq!(dec.stats(), dribbled.stats());
+    }
+
+    #[test]
+    fn a_max_size_frame_dribbled_byte_by_byte_decodes_once() {
+        // Payload bytes full of sync-first bytes and partial sync words,
+        // so the interior scan has candidates to examine and discard.
+        let bits: PackedBits = (0..MAX_PAYLOAD_BITS as usize)
+            .map(|i| (0x5A_DC_u32 >> (i % 16)) & 1 == 1)
+            .collect();
+        let (wire, _) = encode_stream(&[bits]);
+        let mut dec = FrameDecoder::new();
+        let mut events = Vec::new();
+        for b in &wire {
+            dec.push(std::slice::from_ref(b), &mut events);
+        }
+        assert_eq!(delivered_seqs(&events), vec![0]);
+        assert_eq!(dec.stats().resyncs, 0);
+        assert_eq!(dec.stats().length_rejects, 0);
+    }
+
+    /// `k` sync headers, one every 27 bytes, all declaring the block's
+    /// end; zeros elsewhere, so no candidate passes its CRC.
+    fn nested_lying_headers(k: usize) -> Vec<u8> {
+        let (wire, _) = encode_stream(&[chunk(8, 0)]);
+        let len = 27 * k + MIN_FRAME_LEN;
+        let mut block = vec![0; len];
+        for at in (0..k).map(|j| 27 * j) {
+            block[at..at + HEADER_LEN].copy_from_slice(&wire[..HEADER_LEN]);
+            lie_about_length(&mut block, at, ((len - at - MIN_FRAME_LEN) * 8) as u32);
+        }
+        block
+    }
+
+    #[test]
+    fn nested_lying_headers_are_each_crc_checked_once() {
+        // Every head's extent holds all later headers. Restarting the
+        // interior search at each head would check ~k²/2 candidates.
+        for k in [100, 200, 400] {
+            let block = nested_lying_headers(k);
+            assert!(block.len() * 8 <= MAX_PAYLOAD_BITS as usize);
+            let mut events = Vec::new();
+            let mut one = FrameDecoder::new();
+            one.push(&block, &mut events);
+            let mut dribbled = FrameDecoder::new();
+            for piece in block.chunks(7) {
+                dribbled.push(piece, &mut events);
+            }
+            assert!(events.is_empty());
+            for dec in [&one, &dribbled] {
+                assert_eq!(dec.stats().crc_failures, k as u64);
+                assert_eq!(dec.stats().length_rejects, 0);
+                assert!(dec.scan.crc_checks < k, "{} checks", dec.scan.crc_checks);
+            }
+        }
+    }
+
+    #[test]
+    fn a_verified_inner_frame_rejects_every_head_around_it() {
+        // Two lying heads in a row, both claiming far past the stream's
+        // end, then a real frame: each head is rejected by length as
+        // soon as the frame is buffered, and the frame is checked once.
+        let (frame, _) = encode_stream(&[chunk(64, 0)]);
+        let mut wire = nested_lying_headers(2);
+        lie_about_length(&mut wire, 0, MAX_PAYLOAD_BITS);
+        lie_about_length(&mut wire, 27, MAX_PAYLOAD_BITS);
+        wire.extend_from_slice(&frame);
+        let mut events = Vec::new();
+        let mut dec = FrameDecoder::new();
+        dec.push(&wire, &mut events);
+        assert_eq!(delivered_seqs(&events), vec![0]);
+        assert_eq!(dec.stats().length_rejects, 2);
+        assert_eq!(dec.stats().crc_failures, 0);
+        assert_eq!(dec.scan.crc_checks, 1);
+        assert_eq!(dec.buffered(), 0);
     }
 }

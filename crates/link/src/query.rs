@@ -96,7 +96,8 @@ impl LinkStatus {
         format!(
             concat!(
                 "{{\"id\":{},\"peer\":\"{}\",\"connected_at_s\":{},\"live\":{},",
-                "\"frames\":{},\"bytes\":{},\"crc_failures\":{},\"resyncs\":{},",
+                "\"frames\":{},\"bytes\":{},\"crc_failures\":{},\"length_rejects\":{},",
+                "\"resyncs\":{},",
                 "\"gap_events\":{},\"lost_frames\":{},\"stale_frames\":{},",
                 "\"reordered_frames\":{},\"retransmits_rx\":{},\"naks_tx\":{},",
                 "\"handshakes_ok\":{},\"handshakes_rejected\":{},\"unauth_frames\":{},",
@@ -111,6 +112,7 @@ impl LinkStatus {
             d.frames,
             d.bytes,
             d.crc_failures,
+            d.length_rejects,
             d.resyncs,
             d.gap_events,
             d.lost_frames,

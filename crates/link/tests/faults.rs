@@ -11,8 +11,9 @@
 use proptest::prelude::*;
 use tonos_dsp::bits::PackedBits;
 use tonos_dsp::decimator::DecimatorConfig;
+use tonos_dsp::frame::MAX_PAYLOAD_BITS;
 use tonos_link::{
-    FaultConfig, FaultyTransport, FrameEncoder, GapPolicy, HostPipeline, HostSample,
+    FaultConfig, FaultyTransport, FrameDecoder, FrameEncoder, GapPolicy, HostPipeline, HostSample,
     LinkCalibration, SampleFlag,
 };
 use tonos_telemetry::{names, Registry};
@@ -253,4 +254,139 @@ fn telemetry_counters_match_decoder_statistics() {
     // The transport really did damage this stream.
     assert!(stats.decoder.gap_events > 0);
     assert!(stats.decoder.crc_failures > 0);
+}
+
+/// Deterministic pseudo-random value `i` of stream `seed`, below `bound`.
+fn below(seed: u64, i: u64, bound: u64) -> u64 {
+    let mut z = seed ^ i.wrapping_mul(0xD1B5_4A32_D192_ED03);
+    z = (z ^ (z >> 31)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (z ^ (z >> 29)) % bound
+}
+
+/// Offset of the 32-bit payload-length field inside a frame.
+const LENGTH_FIELD: usize = 19;
+
+/// A stream of frames of random sizes, some with their length field
+/// replaced by an in-range lie (so the parser waits for the declared
+/// bytes instead of rejecting the header), then sprinkled with bit
+/// flips.
+fn lying_stream(seed: u64) -> Vec<u8> {
+    let mut enc = FrameEncoder::new(0);
+    let mut wire = Vec::new();
+    let frames = 4 + below(seed, 0, 20);
+    for f in 0..frames {
+        let start = wire.len();
+        let n = below(seed, 100 + f, 1025);
+        let chunk: PackedBits = (0..n).map(|k| bit(seed, f * 2048 + k)).collect();
+        enc.encode_into(&chunk, &mut wire).unwrap();
+        if below(seed, 200 + f, 4) == 0 {
+            // Half the lies run past the end of the stream, half stay
+            // near the true size (landing on or inside later frames).
+            let lie = if below(seed, 300 + f, 2) == 0 {
+                below(seed, 400 + f, u64::from(MAX_PAYLOAD_BITS) + 1)
+            } else {
+                below(seed, 400 + f, 8 * 1024)
+            } as u32;
+            wire[start + LENGTH_FIELD..start + LENGTH_FIELD + 4]
+                .copy_from_slice(&lie.to_le_bytes());
+        }
+    }
+    let flips = below(seed, 1, 4);
+    for k in 0..flips {
+        let at = below(seed, 500 + k, wire.len() as u64 * 8);
+        wire[(at / 8) as usize] ^= 1 << (at % 8);
+    }
+    wire
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Lying length fields and bit flips decode to the same events and
+    /// statistics whichever way the transport splits the bytes: the
+    /// nested-frame rule looks only at bytes inside a candidate's
+    /// declared extent, and a frame found there stays found as more
+    /// bytes arrive.
+    #[test]
+    fn every_split_decodes_like_one_shot(seed in any::<u64>(), window in 0u32..3) {
+        let wire = lying_stream(seed);
+        let decoder = || FrameDecoder::new().with_reorder_window(window * 4);
+        let mut one_shot = decoder();
+        let mut expected = Vec::new();
+        one_shot.push(&wire, &mut expected);
+
+        for split in 0..4u64 {
+            let mut dec = decoder();
+            let mut events = Vec::new();
+            let mut at = 0;
+            while at < wire.len() {
+                // Split 0 dribbles single bytes; the rest cut at random.
+                let len = if split == 0 { 1 } else { 1 + below(seed ^ split, at as u64, 200) as usize };
+                let end = (at + len).min(wire.len());
+                dec.push(&wire[at..end], &mut events);
+                at = end;
+            }
+            prop_assert_eq!(&events, &expected);
+            prop_assert_eq!(dec.stats(), one_shot.stats());
+        }
+    }
+}
+
+/// A length lie in the last second of a session must not swallow the
+/// rest of it: the frames after the lying header are delivered and the
+/// session ends with every sample the device produced (the lied-about
+/// frame concealed), where waiting for the declared bytes would drop
+/// every later frame at end of stream.
+#[test]
+fn a_length_lie_near_the_end_loses_only_its_own_frame() {
+    const FRAMES: u64 = 1000; // 8 s at the paper's 1 kHz output rate
+    const LIAR: usize = 930;
+    let seed = 0x7A11_1055;
+    let mut enc = FrameEncoder::new(0);
+    let mut wire = Vec::new();
+    let mut liar_start = 0;
+    for f in 0..FRAMES {
+        if f as usize == LIAR {
+            liar_start = wire.len();
+        }
+        let chunk: PackedBits = (0..1024u64).map(|k| bit(seed, f * 1024 + k)).collect();
+        enc.encode_into(&chunk, &mut wire).unwrap();
+    }
+    // 236 544 bits: ~29 KiB declared, ~11 KiB actually left to send.
+    wire[liar_start + LENGTH_FIELD..liar_start + LENGTH_FIELD + 4]
+        .copy_from_slice(&236_544u32.to_le_bytes());
+
+    let registry = Registry::new();
+    let mut pipe = HostPipeline::new(
+        &DecimatorConfig::paper_default(),
+        LinkCalibration::identity(),
+        GapPolicy::HoldLast,
+    )
+    .unwrap()
+    .with_telemetry(&registry.telemetry());
+    let mut out = Vec::new();
+    for packet in wire.chunks(155 * 4) {
+        pipe.push_bytes(packet, &mut out);
+    }
+
+    assert_eq!(out.len(), 8_000, "samples lost at end of stream");
+    let stats = pipe.health().decoder;
+    assert_eq!(stats.frames, FRAMES - 1);
+    assert_eq!(stats.gap_events, 1);
+    assert_eq!(stats.lost_frames, 1);
+    assert_eq!(stats.length_rejects, 1);
+    assert_eq!(stats.crc_failures, 0);
+    // The lost frame is concealed, and the concealment settles well
+    // before the end: the frames after the lie decode clean.
+    assert!(out[LIAR * 8..]
+        .iter()
+        .any(|s| s.flag == SampleFlag::Concealed));
+    assert!(out[7_500..].iter().all(|s| s.flag == SampleFlag::Clean));
+    let snapshot = registry.snapshot();
+    let length_rejects = snapshot
+        .counters
+        .iter()
+        .find(|c| c.name == names::LINK_LENGTH_REJECTS)
+        .map_or(0, |c| c.value);
+    assert_eq!(length_rejects, stats.length_rejects);
 }

@@ -109,6 +109,10 @@ pub mod names {
     pub const LINK_BYTES_RX: &str = "link.bytes_rx";
     /// Candidate frames rejected by the CRC-32 check (counter).
     pub const LINK_CRC_FAIL: &str = "link.crc_fail";
+    /// Candidate frames rejected for their length field — over the
+    /// frame limit, or declaring an extent that holds a CRC-valid frame
+    /// (counter).
+    pub const LINK_LENGTH_REJECTS: &str = "link.length_rejects";
     /// Resynchronization episodes: the decoder had to skip bytes to find
     /// the next sync word (counter).
     pub const LINK_RESYNCS: &str = "link.resyncs";

@@ -106,8 +106,9 @@ fn main() {
         counter(names::LINK_SAMPLES_CLEAN),
     );
     println!(
-        "  {} CRC rejects, {} resyncs, {} gap events ({} frames lost), {} samples concealed",
+        "  {} CRC rejects, {} length rejects, {} resyncs, {} gap events ({} frames lost), {} samples concealed",
         counter(names::LINK_CRC_FAIL),
+        counter(names::LINK_LENGTH_REJECTS),
         counter(names::LINK_RESYNCS),
         counter(names::LINK_GAP_EVENTS),
         counter(names::LINK_GAP_FRAMES),
