@@ -24,12 +24,16 @@
 //! into per-lane time words, which flush straight into each lane's
 //! [`PackedBits`].
 //!
-//! Full tiles step through one chunk kernel picked at run time from
-//! the host CPU: the explicit wide-ops tile body compiled for AVX-512F
-//! or AVX2 on x86-64 hosts that have them, the portable scalar tile
-//! loop otherwise (see [`kernel_name`]; `TONOS_FORCE_KERNEL` pins the
-//! choice). The final partial tile (K mod [`TILE`] lanes) always steps
-//! scalar, so padding lanes never execute.
+//! Every tile steps through one chunk kernel picked at run time from
+//! the host CPU: explicit AVX-512F or AVX2 intrinsics on x86-64 hosts
+//! that have them, the portable scalar tile loop otherwise (see
+//! [`kernel_name`]; `TONOS_FORCE_KERNEL` pins the choice). The final
+//! partial tile (K mod [`TILE`] lanes) runs the same kernel under a
+//! live-lane mask: its padding lanes load `0.0`, never set a
+//! comparator or saturation bit, and are never stored back. A
+//! one-lane tile is the exception: it takes the portable lane loop,
+//! whose predicted branches beat the vector compare-and-blend chain
+//! when there is no second lane to overlap with.
 //!
 //! ## Scalar path as the oracle
 //!
@@ -58,10 +62,7 @@ use crate::modulator::{Coefficients, SigmaDelta2};
 use crate::noise::{LockstepFill, NoiseSource};
 use crate::nonideal::NonIdealities;
 use crate::quantizer::Comparator;
-use crate::tile::{
-    step_lane, step_tile_scalar, step_tile_wide, BitRow, F64Tile, TileConsts, TileRow, TileRows,
-    TILE,
-};
+use crate::tile::{BitRow, ChunkKernel, ChunkSrc, RowSrc, TileConsts, TileRow, TileState, TILE};
 
 /// One lane's input for a block conversion.
 ///
@@ -129,234 +130,13 @@ pub struct BankScratch {
     fill: LockstepFill,
 }
 
-/// Strided reader over a clock-major tile: row `n` starts at
-/// `n * stride`. An all-zero noise tile aliases the shared zero row
-/// with stride 0, so dead tiles cost one cache line regardless of the
-/// block length.
-#[derive(Clone, Copy)]
-struct RowSrc<'a> {
-    data: &'a [f64],
-    stride: usize,
-}
-
-impl<'a> RowSrc<'a> {
-    fn new(tile: &'a [f64], zero_row: &'a [f64], dead: bool, stride: usize) -> Self {
-        if dead {
-            RowSrc {
-                data: zero_row,
-                stride: 0,
-            }
-        } else {
-            RowSrc { data: tile, stride }
-        }
-    }
-
-    /// The aligned copy of lanes `lane0..lane0+TILE` at clock `n`.
-    #[inline(always)]
-    fn tile(&self, n: usize, lane0: usize) -> F64Tile {
-        let base = n * self.stride + lane0;
-        F64Tile::from_row(self.data[base..base + TILE].try_into().expect("full tile"))
-    }
-
-    /// One lane's value at clock `n`.
-    #[inline(always)]
-    fn at(&self, n: usize, lane: usize) -> f64 {
-        self.data[n * self.stride + lane]
-    }
-}
-
-/// The per-chunk row sources shared by every tile of a chunk.
-#[derive(Clone, Copy)]
-struct ChunkSrc<'a> {
-    u: RowSrc<'a>,
-    z1: RowSrc<'a>,
-    z2: RowSrc<'a>,
-    zc: RowSrc<'a>,
-    zr: RowSrc<'a>,
-    /// First clock of the chunk.
-    start: usize,
-}
-
-/// One full tile through one ≤64-clock chunk: state stays in the caller
-/// provided locals (registers), each clock's comparator byte lands in
-/// the chunk's per-clock lane word at `shift`. `WIDE` picks the tile
-/// body: the explicit wide-ops kernel or the portable scalar oracle.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn tile_chunk_body<const WIDE: bool>(
-    x1: &mut F64Tile,
-    x2: &mut F64Tile,
-    cl: &mut u8,
-    dl: &mut u8,
-    sat: &mut [u64; TILE],
-    consts: &TileConsts,
-    src: &ChunkSrc,
-    lane0: usize,
-    shift: u32,
-    out: &mut [u64],
-) {
-    for (r, out_word) in out.iter_mut().enumerate() {
-        let n = src.start + r;
-        let rows = TileRows {
-            u: src.u.tile(n, lane0),
-            z1: src.z1.tile(n, lane0),
-            z2: src.z2.tile(n, lane0),
-            zc: src.zc.tile(n, lane0),
-            zr: src.zr.tile(n, lane0),
-        };
-        let (vpos8, sat8) = if WIDE {
-            step_tile_wide(x1, x2, consts, &rows, *cl, *dl)
-        } else {
-            step_tile_scalar(x1, x2, consts, &rows, *cl, *dl)
-        };
-        *cl = vpos8;
-        *dl = vpos8;
-        *out_word |= u64::from(vpos8) << shift;
-        for (i, acc) in sat.iter_mut().enumerate() {
-            *acc += u64::from(sat8 >> i & 1);
-        }
-    }
-}
-
-/// Portable instantiation of the chunk kernel: the scalar tile loop at
-/// the baseline ISA (the only one off x86-64, and the oracle on it).
-#[allow(clippy::too_many_arguments)]
-fn tile_chunk_portable(
-    x1: &mut F64Tile,
-    x2: &mut F64Tile,
-    cl: &mut u8,
-    dl: &mut u8,
-    sat: &mut [u64; TILE],
-    consts: &TileConsts,
-    src: &ChunkSrc,
-    lane0: usize,
-    shift: u32,
-    out: &mut [u64],
-) {
-    tile_chunk_body::<false>(x1, x2, cl, dl, sat, consts, src, lane0, shift, out);
-}
-
-/// AVX2 instantiation: the wide-ops tile body compiled with 256-bit
-/// vector codegen. Bit-identical results — the body is plain IEEE
-/// adds/muls/compares/selects and Rust never contracts them into FMAs,
-/// so wider registers change scheduling only, never values.
-///
-/// # Safety
-///
-/// Caller must have verified AVX2 support (the [`Isa`] dispatch does).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn tile_chunk_avx2(
-    x1: &mut F64Tile,
-    x2: &mut F64Tile,
-    cl: &mut u8,
-    dl: &mut u8,
-    sat: &mut [u64; TILE],
-    consts: &TileConsts,
-    src: &ChunkSrc,
-    lane0: usize,
-    shift: u32,
-    out: &mut [u64],
-) {
-    tile_chunk_body::<true>(x1, x2, cl, dl, sat, consts, src, lane0, shift, out);
-}
-
-/// AVX-512F instantiation of the wide-ops tile body: one 8-lane tile
-/// per zmm register.
-///
-/// # Safety
-///
-/// Caller must have verified AVX-512F support (the [`Isa`] dispatch
-/// does).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn tile_chunk_avx512(
-    x1: &mut F64Tile,
-    x2: &mut F64Tile,
-    cl: &mut u8,
-    dl: &mut u8,
-    sat: &mut [u64; TILE],
-    consts: &TileConsts,
-    src: &ChunkSrc,
-    lane0: usize,
-    shift: u32,
-    out: &mut [u64],
-) {
-    tile_chunk_body::<true>(x1, x2, cl, dl, sat, consts, src, lane0, shift, out);
-}
-
-/// Which instantiation of the chunk kernel this process runs, resolved
-/// from runtime CPU detection on x86-64 (overridable with
-/// `TONOS_FORCE_KERNEL`, see [`crate::kernel`]) and fixed to the
-/// portable body elsewhere.
-#[derive(Clone, Copy, Debug)]
-enum Isa {
-    Portable,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
-impl Isa {
-    fn detect() -> Isa {
-        #[cfg(target_arch = "x86_64")]
-        match crate::kernel::active() {
-            Some(crate::kernel::WideIsa::Avx512) => return Isa::Avx512,
-            Some(crate::kernel::WideIsa::Avx2) => return Isa::Avx2,
-            None => {}
-        }
-        Isa::Portable
-    }
-
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn run_tile_chunk(
-        self,
-        x1: &mut F64Tile,
-        x2: &mut F64Tile,
-        cl: &mut u8,
-        dl: &mut u8,
-        sat: &mut [u64; TILE],
-        consts: &TileConsts,
-        src: &ChunkSrc,
-        lane0: usize,
-        shift: u32,
-        out: &mut [u64],
-    ) {
-        match self {
-            Isa::Portable => {
-                tile_chunk_portable(x1, x2, cl, dl, sat, consts, src, lane0, shift, out)
-            }
-            // SAFETY: the variant only exists when `detect` confirmed
-            // the feature on this CPU.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe {
-                tile_chunk_avx2(x1, x2, cl, dl, sat, consts, src, lane0, shift, out);
-            },
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => unsafe {
-                tile_chunk_avx512(x1, x2, cl, dl, sat, consts, src, lane0, shift, out);
-            },
-        }
-    }
-}
-
-/// The tile kernel this host actually steps full tiles with —
-/// benchmarks record it next to their numbers: `"wide-avx512f"` /
-/// `"wide-avx2"` by runtime CPU detection, `"scalar-tile"` for the
-/// portable oracle loop (no AVX2, not x86-64, or forced with
-/// `TONOS_FORCE_KERNEL=scalar-tile`).
+/// The tile kernel this host steps every tile with (the partial final
+/// tile included) — benchmarks record it next to their numbers:
+/// `"wide-avx512f"` / `"wide-avx2"` by runtime CPU detection,
+/// `"scalar-tile"` for the portable oracle loop (no AVX2, not x86-64,
+/// or forced with `TONOS_FORCE_KERNEL=scalar-tile`).
 pub fn kernel_name() -> &'static str {
-    match Isa::detect() {
-        Isa::Portable => "scalar-tile",
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => "wide-avx2",
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => "wide-avx512f",
-    }
+    ChunkKernel::detect().name()
 }
 
 /// K second-order ΣΔ modulators in tiled structure-of-arrays form,
@@ -629,7 +409,7 @@ impl SigmaDelta2Bank {
         self.grow_scratch(clocks);
         self.fill_input_tile(clocks, inputs);
         self.fill_noise_tiles(clocks);
-        self.run_loop_filter(clocks, bits);
+        self.run_loop_filter(ChunkKernel::detect(), clocks, bits);
     }
 
     /// Converts `clocks` modulator cycles on every lane in lockstep with
@@ -652,7 +432,30 @@ impl SigmaDelta2Bank {
         self.grow_scratch(clocks);
         self.fill_input_tile_constant(clocks, inputs);
         self.fill_noise_tiles(clocks);
-        self.run_loop_filter(clocks, bits);
+        self.run_loop_filter(ChunkKernel::detect(), clocks, bits);
+    }
+
+    /// Re-runs only the loop-filter pass, with the dispatched kernel,
+    /// over the input and noise tiles an earlier block of at least
+    /// `clocks` clocks filled — for benchmarks that time the kernel
+    /// apart from the noise fill. The loop state advances but no noise
+    /// stream does, so afterwards the lanes match no scalar modulator:
+    /// time it on a throwaway bank.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `bits` length differs from the lane count, or no
+    /// earlier block filled `clocks` clocks.
+    pub fn rerun_loop_filter(&mut self, clocks: usize, bits: &mut [PackedBits]) {
+        assert_eq!(bits.len(), self.lanes(), "one bit sink per lane");
+        self.run_loop_filter(ChunkKernel::detect(), clocks, bits);
+    }
+
+    /// [`SigmaDelta2Bank::rerun_loop_filter`] pinned to the portable
+    /// tile loop — the oracle the wide kernels are benchmarked against.
+    pub fn rerun_loop_filter_portable(&mut self, clocks: usize, bits: &mut [PackedBits]) {
+        assert_eq!(bits.len(), self.lanes(), "one bit sink per lane");
+        self.run_loop_filter(ChunkKernel::PORTABLE, clocks, bits);
     }
 
     /// Grows the block scratch to `clocks` (no-op once warm).
@@ -854,26 +657,21 @@ impl SigmaDelta2Bank {
     /// Pass 3: the tiled lockstep loop filter.
     ///
     /// The block is converted in chunks of ≤ 64 clocks. Within a chunk
-    /// the loop runs **tile-outer, clock-inner**: each full tile's
+    /// the loop runs **tile-outer, clock-inner**: each tile's
     /// integrator states, coefficients, and packed ±1 history bytes are
-    /// pulled into locals once and stepped through
-    /// `step_tile` for the whole chunk — 64 clocks of
-    /// register-resident state per memory round trip. Each clock
-    /// deposits its comparator byte into the chunk's per-clock `u64`
-    /// lane word; at the chunk boundary [`transpose64`] pivots each
-    /// 64-lane group's words into per-lane time words, which flush into
-    /// the lanes' [`PackedBits`]. Chunk boundaries land exactly on the
-    /// 64-clock flush points of the per-clock formulation, so packed
-    /// output is bit-identical.
-    ///
-    /// Lanes past the last full tile (K mod [`TILE`]) step scalar
-    /// through [`step_lane`] with the same chunk structure, so padding
-    /// lanes never execute.
-    fn run_loop_filter(&mut self, clocks: usize, bits: &mut [PackedBits]) {
+    /// pulled into registers once and stepped through the whole chunk
+    /// by `kernel` — 64 clocks of register-resident state per memory
+    /// round trip. The final partial tile takes the same kernel with
+    /// its live-lane count (a one-lane tile, the portable lane loop). Each clock deposits its comparator byte
+    /// into the chunk's per-clock `u64` lane word; at the chunk
+    /// boundary [`transpose64`] pivots each 64-lane group's words into
+    /// per-lane time words, which flush into the lanes'
+    /// [`PackedBits`]. Chunk boundaries land exactly on the 64-clock
+    /// flush points of the per-clock formulation, so packed output is
+    /// bit-identical.
+    fn run_loop_filter(&mut self, kernel: ChunkKernel, clocks: usize, bits: &mut [PackedBits]) {
         let k = self.lanes();
         let groups = k.div_ceil(64);
-        let full_tiles = k / TILE;
-        let tail = full_tiles * TILE;
         let [z1_zero, z2_zero, zc_zero, zr_zero] = self.all_zero;
         let SigmaDelta2Bank {
             x1,
@@ -906,16 +704,12 @@ impl SigmaDelta2Bank {
             ..
         } = scratch;
         let zero_row = &zero_row[..k];
-        let u = RowSrc {
-            data: u_tile,
-            stride: k,
-        };
+        let u = RowSrc::new(u_tile, zero_row, false, k);
         let z1 = RowSrc::new(z1_tile, zero_row, z1_zero, k);
         let z2 = RowSrc::new(z2_tile, zero_row, z2_zero, k);
         let zc = RowSrc::new(zc_tile, zero_row, zc_zero, k);
         let zr = RowSrc::new(zr_tile, zero_row, zr_zero, k);
         let clock_rows = &mut clock_rows[..groups * 64];
-        let isa = Isa::detect();
         let mut start = 0usize;
         while start < clocks {
             let nb = (clocks - start).min(64);
@@ -928,9 +722,9 @@ impl SigmaDelta2Bank {
                 zr,
                 start,
             };
-            // Full tiles: state stays in registers for the whole chunk.
-            for t in 0..full_tiles {
+            for t in 0..k.div_ceil(TILE) {
                 let lane0 = t * TILE;
+                let live = (k - lane0).min(TILE);
                 let consts = TileConsts {
                     leak: *leak.tile(t),
                     sat: *sat.tile(t),
@@ -943,80 +737,34 @@ impl SigmaDelta2Bank {
                     c1: *c1.tile(t),
                     a2: *a2.tile(t),
                 };
-                let mut x1t = *x1.tile(t);
-                let mut x2t = *x2.tile(t);
-                let mut cl = comp_last.byte(t);
-                let mut dl = dac_last.byte(t);
-                let mut sat8_acc = [0u64; TILE];
+                let mut st = TileState {
+                    x1: *x1.tile(t),
+                    x2: *x2.tile(t),
+                    cl: comp_last.byte(t),
+                    dl: dac_last.byte(t),
+                    sat: [0; TILE],
+                };
                 let shift = 8 * (t % 8) as u32;
                 let rows_out = &mut clock_rows[(lane0 / 64) * 64..(lane0 / 64) * 64 + nb];
-                isa.run_tile_chunk(
-                    &mut x1t,
-                    &mut x2t,
-                    &mut cl,
-                    &mut dl,
-                    &mut sat8_acc,
-                    &consts,
-                    &src,
-                    lane0,
-                    shift,
-                    rows_out,
-                );
-                x1.set_tile(t, x1t);
-                x2.set_tile(t, x2t);
-                comp_last.set_byte(t, cl);
-                dac_last.set_byte(t, dl);
-                for (i, &acc) in sat8_acc.iter().enumerate() {
-                    saturation_events[lane0 + i] += acc;
+                // A lone lane has nothing to run in parallel with, and the
+                // scalar lane loop's predicted branches beat the vector
+                // compare-and-blend chain on it.
+                let kernel = if live == 1 {
+                    ChunkKernel::PORTABLE
+                } else {
+                    kernel
+                };
+                kernel.run(&mut st, &consts, &src, lane0, live, shift, rows_out);
+                x1.set_tile(t, st.x1);
+                x2.set_tile(t, st.x2);
+                comp_last.set_byte(t, st.cl);
+                dac_last.set_byte(t, st.dl);
+                for (events, &n) in saturation_events[lane0..lane0 + live]
+                    .iter_mut()
+                    .zip(&st.sat)
+                {
+                    *events += n;
                 }
-            }
-            // Tail lanes (< TILE of them): plain scalar chunk.
-            for lane in tail..k {
-                let (leak, sat) = (leak.get(lane), sat.get(lane));
-                let (off, hyst) = (comp_offset.get(lane), comp_hyst.get(lane));
-                let (mis, isi) = (dac_mismatch.get(lane), dac_isi.get(lane));
-                let (b1, a1) = (b1.get(lane), a1.get(lane));
-                let (c1, a2) = (c1.get(lane), a2.get(lane));
-                let mut x1s = x1.get(lane);
-                let mut x2s = x2.get(lane);
-                let mut cl = comp_last.get(lane);
-                let mut dl = dac_last.get(lane);
-                let mut sat_acc = 0u64;
-                let bit = lane % 64;
-                let rows_out = &mut clock_rows[(lane / 64) * 64..(lane / 64) * 64 + nb];
-                for (r, out_word) in rows_out.iter_mut().enumerate() {
-                    let n = start + r;
-                    let (vpos, satd) = step_lane(
-                        &mut x1s,
-                        &mut x2s,
-                        leak,
-                        sat,
-                        off,
-                        hyst,
-                        mis,
-                        isi,
-                        b1,
-                        a1,
-                        c1,
-                        a2,
-                        u.at(n, lane),
-                        z1.at(n, lane),
-                        z2.at(n, lane),
-                        zc.at(n, lane),
-                        zr.at(n, lane),
-                        cl,
-                        dl,
-                    );
-                    cl = vpos;
-                    dl = vpos;
-                    *out_word |= u64::from(vpos) << bit;
-                    sat_acc += u64::from(satd);
-                }
-                x1.set(lane, x1s);
-                x2.set(lane, x2s);
-                comp_last.set(lane, cl);
-                dac_last.set(lane, dl);
-                saturation_events[lane] += sat_acc;
             }
             // Pivot per-clock lane words into per-lane time words and
             // flush — same boundaries as a per-clock `n & 63 == 63`

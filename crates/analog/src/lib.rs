@@ -29,9 +29,10 @@
 //! * [`modulator`] — 2nd-order (and baseline 1st-order) single-bit ΣΔ
 //! * [`bank`] — structure-of-arrays lane bank stepping K modulators per
 //!   clock (bit-identical to the scalar path, which stays the oracle)
-//! * [`tile`] — the fixed-width lane tiles and wide/scalar per-clock
-//!   kernels the bank executes on (the host CPU selects the body at run
-//!   time)
+//! * [`tile`] — the fixed-width lane tiles and the chunk kernels the
+//!   bank executes on: AVX-512F and AVX2 intrinsics and the portable
+//!   scalar tile loop (the host CPU selects one at run time; a partial
+//!   tile runs the same kernel under a live-lane mask)
 //! * [`mux`] — the 2:1 row/column multiplexers with settling transients
 //! * [`noise`] — seeded Gaussian noise sources and kT/C helpers; the
 //!   lockstep tile fill dispatches to an explicit-SIMD `noise_wide`

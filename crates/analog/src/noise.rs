@@ -441,7 +441,7 @@ impl LockstepFill {
     /// property-tested (and benchmarked) against.
     pub fn fill_scaled_portable(&mut self, sigmas: &[f64], clocks: usize, out: &mut [f64]) {
         let ep = Epilogue::Scaled { sigmas };
-        self.fill_lanes(0, clocks, out, move |j, z| ep.apply(j, z));
+        self.fill_lanes(clocks, out, move |j, z| ep.apply(j, z));
     }
 
     /// [`LockstepFill::fill_biased`] pinned to the portable lockstep
@@ -454,65 +454,42 @@ impl LockstepFill {
         out: &mut [f64],
     ) {
         let ep = Epilogue::Biased { biases, sigmas };
-        self.fill_lanes(0, clocks, out, move |j, z| ep.apply(j, z));
+        self.fill_lanes(clocks, out, move |j, z| ep.apply(j, z));
     }
 
-    /// Kernel dispatch: the wide kernel handles the leading full vector
-    /// groups (0 lanes when unavailable), the portable rows take
-    /// whatever remains — the partial-tail lanes of a K that is not a
-    /// multiple of the vector width.
+    /// Kernel dispatch: the wide kernel takes every lane (the trailing
+    /// partial vector group under a live-lane mask) when the host has
+    /// one; the portable rows run otherwise.
     fn fill_dispatch(&mut self, ep: Epilogue<'_>, clocks: usize, out: &mut [f64]) {
         let k = self.bits.len();
         if k == 0 || clocks == 0 {
             return;
         }
-        let lane0 = self.fill_wide(ep, clocks, out);
-        if lane0 < k {
-            self.fill_lanes(lane0, clocks, out, move |j, z| ep.apply(j, z));
+        #[cfg(target_arch = "x86_64")]
+        if let Some(isa) = crate::kernel::active() {
+            crate::noise_wide::fill(
+                isa,
+                &mut self.s0[..k],
+                &mut self.s1[..k],
+                &mut self.s2[..k],
+                &mut self.s3[..k],
+                ep,
+                clocks,
+                k,
+                k,
+                &mut out[..clocks * k],
+            );
+            return;
         }
+        self.fill_lanes(clocks, out, move |j, z| ep.apply(j, z));
     }
 
-    /// Runs the explicit-SIMD kernel over the leading full vector
-    /// groups, returning the number of lanes it handled.
-    #[cfg(target_arch = "x86_64")]
-    fn fill_wide(&mut self, ep: Epilogue<'_>, clocks: usize, out: &mut [f64]) -> usize {
-        let Some(isa) = crate::kernel::active() else {
-            return 0;
-        };
+    /// The portable lockstep core: one generator step per stream per
+    /// clock, then the shared [`speculate`] accept test; rejected draws
+    /// (rare) replay through the exact scalar path via [`replay_slot`].
+    fn fill_lanes(&mut self, clocks: usize, out: &mut [f64], f: impl Fn(usize, f64) -> f64) {
         let k = self.bits.len();
-        crate::noise_wide::fill(
-            isa,
-            &mut self.s0[..k],
-            &mut self.s1[..k],
-            &mut self.s2[..k],
-            &mut self.s3[..k],
-            ep,
-            clocks,
-            k,
-            &mut out[..clocks * k],
-        )
-    }
-
-    /// Off x86-64 there is no wide kernel: every lane goes through the
-    /// portable rows.
-    #[cfg(not(target_arch = "x86_64"))]
-    fn fill_wide(&mut self, _ep: Epilogue<'_>, _clocks: usize, _out: &mut [f64]) -> usize {
-        0
-    }
-
-    /// The portable lockstep core for lanes `lane0..K`: one generator
-    /// step per stream per clock, then the shared [`speculate`] accept
-    /// test; rejected draws (rare) replay through the exact scalar path
-    /// via [`replay_slot`].
-    fn fill_lanes(
-        &mut self,
-        lane0: usize,
-        clocks: usize,
-        out: &mut [f64],
-        f: impl Fn(usize, f64) -> f64,
-    ) {
-        let k = self.bits.len();
-        if lane0 >= k || clocks == 0 {
+        if k == 0 || clocks == 0 {
             return;
         }
         let xs = ziggurat_xs();
@@ -524,7 +501,7 @@ impl LockstepFill {
         for row in out[..clocks * k].chunks_exact_mut(k) {
             // One xoshiro256++ step per stream, all streams in lockstep
             // (pure integer, unit stride: the autovectorized half).
-            for j in lane0..k {
+            for j in 0..k {
                 let r = s0[j]
                     .wrapping_add(s3[j])
                     .rotate_left(23)
@@ -541,7 +518,7 @@ impl LockstepFill {
             // Speculative accept for every stream — `standard()`'s hot
             // path, stated once in `speculate`.
             let mut any_reject = false;
-            for j in lane0..k {
+            for j in 0..k {
                 let (z, accepted) = speculate(bits[j], xs);
                 any_reject |= !accepted;
                 row[j] = f(j, z);
@@ -551,7 +528,7 @@ impl LockstepFill {
                 // statement of the accept condition) and replay the
                 // misses on their own stream; accepted slots are
                 // untouched.
-                for j in lane0..k {
+                for j in 0..k {
                     let b = bits[j];
                     if speculate(b, xs).1 {
                         continue;
@@ -586,6 +563,96 @@ pub fn kernel_name() -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A seed whose first draw misses the speculative accept, so its
+    /// lane must take the rejection replay on clock 0.
+    fn rejecting_seed() -> u64 {
+        let xs = ziggurat_xs();
+        (1u64..)
+            .find(|&seed| {
+                let mut rng = Xoshiro256::from_seed(seed);
+                !speculate(rng.next_u64(), xs).1
+            })
+            .expect("some seed rejects first")
+    }
+
+    /// The wide fill on every partial vector group (K mod width in
+    /// 1..width, both below and above one full group) against
+    /// per-stream `standard()` draws, with a forced rejection on the
+    /// partial group's last live lane, and guard values after lane K in
+    /// every tile row and in the padding state slots that must never be
+    /// written.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn wide_fill_partial_groups_match_streams_and_spare_guards() {
+        use crate::kernel::WideIsa;
+        const PAD: usize = 8;
+        const STATE_GUARD: u64 = 0xDEAD_BEEF_0BAD_F00D;
+        let guard = f64::from_bits(0x7FF4_DEAD_0000_0001);
+        let mut isas = Vec::new();
+        if std::arch::is_x86_feature_detected!("avx2") {
+            isas.push((WideIsa::Avx2, 4));
+        }
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            isas.push((WideIsa::Avx512, 8));
+        }
+        let reject_seed = rejecting_seed();
+        for (isa, width) in isas {
+            for k in (1..width).chain(width + 1..2 * width) {
+                for biased in [false, true] {
+                    let clocks = 300;
+                    let stride = k + 3;
+                    let mut seeds: Vec<u64> = (0..k as u64).map(|j| 0x5EED + 977 * j).collect();
+                    seeds[k - 1] = reject_seed;
+                    let mut streams: Vec<NoiseSource> =
+                        seeds.iter().map(|&s| NoiseSource::from_seed(s)).collect();
+                    let mut words = [(); 4].map(|_| vec![STATE_GUARD; k + PAD]);
+                    for (j, src) in streams.iter().enumerate() {
+                        for (w, row) in words.iter_mut().enumerate() {
+                            row[j] = src.rng.s[w];
+                        }
+                    }
+                    let sigmas: Vec<f64> = (0..k + PAD).map(|j| 0.5 + j as f64 * 0.125).collect();
+                    let biases: Vec<f64> = (0..k + PAD).map(|j| j as f64 - 2.0).collect();
+                    let ep = if biased {
+                        Epilogue::Biased {
+                            biases: &biases,
+                            sigmas: &sigmas,
+                        }
+                    } else {
+                        Epilogue::Scaled { sigmas: &sigmas }
+                    };
+                    let mut out = vec![guard; clocks * stride + PAD];
+                    let [s0, s1, s2, s3] = &mut words;
+                    crate::noise_wide::fill(isa, s0, s1, s2, s3, ep, clocks, k, stride, &mut out);
+                    let what = format!("{isa:?} k={k} biased={biased}");
+                    for n in 0..clocks {
+                        for (j, src) in streams.iter_mut().enumerate() {
+                            let want = ep.apply(j, src.standard());
+                            let got = out[n * stride + j];
+                            assert_eq!(got.to_bits(), want.to_bits(), "{what}: clock {n} lane {j}");
+                        }
+                        for slot in k..stride {
+                            let got = out[n * stride + slot].to_bits();
+                            assert_eq!(got, guard.to_bits(), "{what}: clock {n} slot {slot}");
+                        }
+                    }
+                    assert!(out[clocks * stride..]
+                        .iter()
+                        .all(|g| g.to_bits() == guard.to_bits()));
+                    for (w, row) in words.iter().enumerate() {
+                        for (j, src) in streams.iter().enumerate() {
+                            assert_eq!(row[j], src.rng.s[w], "{what}: state word {w} lane {j}");
+                        }
+                        assert!(
+                            row[k..].iter().all(|&g| g == STATE_GUARD),
+                            "{what}: padding state word {w} written"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn ktc_matches_hand_calculation() {

@@ -7,9 +7,11 @@
 //! 1. Packed-bit (word-parallel CIC) vs legacy f64 decimation
 //!    throughput, Mbit/s through the paper-default two-stage chain.
 //! 2. Per-stage costs in ns: one modulator clock (block stepper), one
-//!    banked clock-lane through the tiled K=16 kernel, one CIC input
-//!    bit (word kernel), one FIR input sample, and one settled readout
-//!    frame — plus the `noise` block: ns/draw for serial `standard()`,
+//!    banked clock-lane through the tiled K=16 kernel, the K=16 loop
+//!    filter alone on the dispatched kernel and on the portable tile
+//!    loop (same tiles, back to back), one CIC input bit (word kernel),
+//!    one FIR input sample, and one settled readout frame — plus the
+//!    `noise` block: ns/draw for serial `standard()`,
 //!    the portable lockstep rows, and the dispatched (wide) fill, with
 //!    the noise kernel name and in-run same-rep speedup gates.
 //! 3. Single-thread monitoring-session throughput (sessions/s), the
@@ -27,11 +29,11 @@
 //!
 //! Run with: `cargo run --release -p tonos-bench --bin hotpath_throughput`
 //! (`--quick` shrinks the workload for CI smoke runs). The lane bank
-//! picks its tile kernel from the host CPU at run time — the explicit
-//! wide-ops kernel on x86-64 with AVX2 or AVX-512F, the portable
-//! scalar tile loop otherwise — and the `kernel` JSON field records
-//! which one ran; `TONOS_FORCE_KERNEL=scalar-tile` measures the
-//! portable loop on any host.
+//! picks its tile kernel from the host CPU at run time — AVX-512F or
+//! AVX2 intrinsics on x86-64 hosts that have them, the portable scalar
+//! tile loop otherwise — and the `kernel` JSON field records which one
+//! ran; `TONOS_FORCE_KERNEL=scalar-tile` measures the portable loop on
+//! any host.
 
 use std::time::Instant;
 
@@ -138,6 +140,48 @@ fn bank_ns_per_clock_lane(reps: usize, k: usize) -> f64 {
         assert_eq!(bits[0].len(), CLOCKS);
     });
     ns
+}
+
+/// Loop-filter pass alone, K lanes: ns per clock-lane for the
+/// dispatched chunk kernel and for the portable tile loop, re-run over
+/// the same filled input and noise tiles and interleaved rep by rep.
+/// Returns `(wide_ns, portable_ns, best same-rep wide speedup)` — the
+/// ratio the loop-filter gate holds, so a codegen slide of the wide
+/// kernel back to scalar code fails the run.
+fn loop_filter_ns_per_clock_lane(reps: usize, k: usize) -> (f64, f64, f64) {
+    const BLOCK: usize = 5120;
+    const PASSES: usize = 25;
+    let mut bank = SigmaDelta2Bank::from_modulators((0..k).map(|i| {
+        SigmaDelta2::new(NonIdealities::typical().with_seed(9100 + i as u64)).expect("valid config")
+    }));
+    let mut bits = vec![PackedBits::with_capacity(BLOCK * PASSES); k];
+    bank.step_block_constant(BLOCK, &vec![0.2; k], &mut bits);
+    let clock_lanes = (BLOCK * PASSES * k) as f64;
+    let mut time = |portable: bool| {
+        for b in &mut bits {
+            b.clear();
+        }
+        let t = Instant::now();
+        for _ in 0..PASSES {
+            if portable {
+                bank.rerun_loop_filter_portable(BLOCK, &mut bits);
+            } else {
+                bank.rerun_loop_filter(BLOCK, &mut bits);
+            }
+        }
+        let ns = t.elapsed().as_secs_f64() * 1e9 / clock_lanes;
+        assert_eq!(std::hint::black_box(&bits)[0].len(), BLOCK * PASSES);
+        ns
+    };
+    let (mut wide_best, mut portable_best, mut speedup) = (f64::INFINITY, f64::INFINITY, 0.0_f64);
+    for _ in 0..reps.max(2) {
+        let wide_ns = time(false);
+        let portable_ns = time(true);
+        wide_best = wide_best.min(wide_ns);
+        portable_best = portable_best.min(portable_ns);
+        speedup = speedup.max(portable_ns / wide_ns);
+    }
+    (wide_best, portable_best, speedup)
 }
 
 /// Noise-plane measurement: ns/draw for the serial per-stream
@@ -362,6 +406,7 @@ fn main() {
     let mod_ns = modulator_ns_per_clock(reps);
     let bank16_ns = bank_ns_per_clock_lane(reps, 16);
     let tiled_k16_clock_speedup = mod_ns / bank16_ns;
+    let (lf_wide_ns, lf_portable_ns, lf_speedup) = loop_filter_ns_per_clock_lane(reps, 16);
     let cic_ns = cic_ns_per_bit(reps);
     let fir_ns = fir_ns_per_sample(reps);
     let fr_ns = frame_ns(reps, if quick { 500 } else { 2000 });
@@ -369,6 +414,10 @@ fn main() {
         "  stages: modulator {mod_ns:.1} ns/clock, tiled K=16 {bank16_ns:.2} ns/clock-lane \
          ({tiled_k16_clock_speedup:.2}x), cic {cic_ns:.2} ns/bit, fir {fir_ns:.1} ns/sample, \
          frame {fr_ns:.0} ns"
+    );
+    eprintln!(
+        "  loop filter K=16 ({kernel}): {lf_wide_ns:.2} ns/clock-lane, portable tile loop \
+         {lf_portable_ns:.2} ns/clock-lane ({lf_speedup:.2}x)"
     );
     let noise_kernel = noise_kernel_name();
     let noise_wide = noise_kernel.starts_with("wide");
@@ -390,7 +439,9 @@ fn main() {
     // so slow host drift moves every side of a ratio together instead
     // of biasing whichever leg ran last. Speedups are computed within a
     // rep (best rep wins); absolute sessions/s are best-of-reps.
-    let lane_counts: &[usize] = &[1, 2, 4, 8, 16];
+    // K=5 and K=13 are batch_cohort's group shapes: a partial tile
+    // alone and behind a full one.
+    let lane_counts: &[usize] = &[1, 2, 4, 5, 8, 13, 16];
     let pool_ws: &[usize] = &[1, 2, 4];
     let pool_ks: &[usize] = if quick { &[4, 8] } else { &[4, 8, 16] };
     let session_reps = if quick { 1 } else { 3 };
@@ -468,6 +519,10 @@ fn main() {
     let relax = if quick { 0.6 } else { 1.0 };
     let gate_packed = 1.0 * relax;
     let gate_tiled_clock = relax * if wide { 1.25 } else { 0.9 };
+    // The loop filter alone, wide chunk kernel vs the portable tile
+    // loop on the same tiles (must-not-lose floor when the portable
+    // loop is what dispatch picked, so both legs run the same body).
+    let gate_loop_filter = relax * if wide { 2.0 } else { 0.9 };
     // Noise-plane gates, both in-run same-rep ratios: the wide kernel
     // must beat the portable lockstep rows by 1.5x when a wide ISA is
     // active (must-not-lose floor otherwise, where both legs run the
@@ -502,6 +557,9 @@ fn main() {
     println!("    \"modulator_ns_per_clock\": {mod_ns:.2},");
     println!("    \"tiled_k16_ns_per_clock_lane\": {bank16_ns:.2},");
     println!("    \"tiled_k16_clock_speedup\": {tiled_k16_clock_speedup:.3},");
+    println!("    \"loop_filter_k16_ns_per_clock_lane\": {lf_wide_ns:.3},");
+    println!("    \"loop_filter_k16_portable_ns_per_clock_lane\": {lf_portable_ns:.3},");
+    println!("    \"loop_filter_k16_speedup_vs_portable\": {lf_speedup:.3},");
     println!("    \"cic_word_kernel_ns_per_bit\": {cic_ns:.3},");
     println!("    \"fir_ns_per_sample\": {fir_ns:.2},");
     println!("    \"settled_frame_ns\": {fr_ns:.0}");
@@ -567,13 +625,14 @@ fn main() {
     println!("    \"host_hardware_threads\": {cores},");
     println!("    \"gate_packed_speedup_min\": {gate_packed:.3},");
     println!("    \"gate_tiled_k16_clock_speedup_min\": {gate_tiled_clock:.3},");
+    println!("    \"gate_loop_filter_k16_vs_portable_min\": {gate_loop_filter:.3},");
     println!("    \"gate_noise_wide_vs_lockstep_min\": {gate_noise_wide:.3},");
     println!("    \"gate_noise_lockstep_vs_serial_min\": {gate_noise_lockstep:.3},");
     println!("    \"gate_k16_single_core_speedup_min\": {gate_k16:.3},");
     println!("    \"gate_k8_vs_in_run_scalar_min\": {gate_k8_scalar:.3},");
     println!("    \"gate_best_pool_speedup_min\": {gate_pool:.3},");
     println!(
-        "    \"note\": \"all gates are in-run ratios measured back to back (host-speed drift cancels; the seed anchor is data only); core-scaled: the 4x pool target assumes an 8-core host (2.5x on any multi-core, sanity floor on one core); the 1.6x single-core K=16 session gate holds on any host; the clock-level gate tracks the wide tile kernel the CPU dispatch picks (tiling-must-not-lose floor when the portable scalar-tile kernel runs); the noise gates demand wide >= 1.5x the portable lockstep rows when a wide ISA is active and lockstep >= 1.0x the serial per-draw loop; --quick relaxes all gates to 60% for noisy CI runners\""
+        "    \"note\": \"all gates are in-run ratios measured back to back (host-speed drift cancels; the seed anchor is data only); core-scaled: the 4x pool target assumes an 8-core host (2.5x on any multi-core, sanity floor on one core); the 1.6x single-core K=16 session gate holds on any host; the clock-level gate tracks the wide tile kernel the CPU dispatch picks (tiling-must-not-lose floor when the portable scalar-tile kernel runs); the loop-filter gate demands the wide chunk kernel >= 2x the portable tile loop on the same K=16 tiles (same floor when the portable loop runs); the noise gates demand wide >= 1.5x the portable lockstep rows when a wide ISA is active and lockstep >= 1.0x the serial per-draw loop; --quick relaxes all gates to 60% for noisy CI runners\""
     );
     println!("  }},");
     println!(
@@ -591,6 +650,11 @@ fn main() {
             name: "tiled K=16 clock-level speedup vs scalar modulator",
             measured: tiled_k16_clock_speedup,
             min: gate_tiled_clock,
+        },
+        GateCheck {
+            name: "K=16 loop filter, dispatched kernel vs portable tile loop",
+            measured: lf_speedup,
+            min: gate_loop_filter,
         },
         GateCheck {
             name: "wide noise fill vs portable lockstep ns/draw",
